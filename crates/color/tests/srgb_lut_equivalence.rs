@@ -9,6 +9,11 @@
 //!    reference at that boundary, one ULP below it, and one ULP above it.
 //! 2. **One million uniform samples** across `[-0.25, 1.25]` (covering the
 //!    clamped out-of-gamut ranges) plus special values.
+//!
+//! It also pins the quantizer's monotonicity, which the Δ-bit costing in
+//! `pvc_core::adjust` rests on: that costing quantizes only each channel's
+//! smallest and largest value, which gives the smallest and largest code
+//! only because `linear_to_srgb8` never decreases.
 
 use pvc_color::{
     linear_to_srgb8, linear_to_srgb8_reference, linear_to_srgb8_slice, srgb8_to_linear,
@@ -67,8 +72,8 @@ fn every_code_boundary_is_bit_exact() {
     }
 }
 
-#[test]
-fn one_million_uniform_samples_are_bit_exact() {
+/// One million uniform samples across `[-0.25, 1.25]`.
+fn uniform_samples() -> Vec<f64> {
     // splitmix64: deterministic, dependency-free uniform sampler.
     let mut state = 0x0DDB1A5E55ED5EEDu64;
     let mut next = move || {
@@ -78,11 +83,82 @@ fn one_million_uniform_samples_are_bit_exact() {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
         z ^ (z >> 31)
     };
-    let mut inputs = Vec::with_capacity(1_000_000);
-    for _ in 0..1_000_000 {
-        let u = (next() >> 11) as f64 / (1u64 << 53) as f64;
-        inputs.push(u * 1.5 - 0.25);
+    (0..1_000_000)
+        .map(|_| {
+            let u = (next() >> 11) as f64 / (1u64 << 53) as f64;
+            u * 1.5 - 0.25
+        })
+        .collect()
+}
+
+/// The doubles within `ulps` of `x`, in increasing order (`x > 0`).
+fn ulp_neighbourhood(x: f64, ulps: u64) -> Vec<f64> {
+    let bits = x.to_bits();
+    (bits - ulps..=bits + ulps).map(f64::from_bits).collect()
+}
+
+/// Asserts `linear_to_srgb8` never decreases along an ascending sequence.
+fn assert_non_decreasing(ascending: &[f64]) {
+    for pair in ascending.windows(2) {
+        assert!(pair[0] <= pair[1], "probe sequence is not sorted");
+        assert!(
+            linear_to_srgb8(pair[0]) <= linear_to_srgb8(pair[1]),
+            "quantizer decreases from {:e} to {:e}",
+            pair[0],
+            pair[1]
+        );
     }
+}
+
+#[test]
+fn quantizer_never_decreases_across_a_decision_threshold() {
+    for v in 1..=255u8 {
+        assert_non_decreasing(&ulp_neighbourhood(boundary_for_code(v), 4));
+    }
+}
+
+#[test]
+fn quantizer_never_decreases_across_a_guess_bin_edge() {
+    // The encode LUT guesses a code per 1/8192-wide bin and corrects it by
+    // at most one; a bin edge is where a wrong guess would show.
+    const GUESS_BINS: u32 = 8192;
+    for bin in 1..GUESS_BINS {
+        assert_non_decreasing(&ulp_neighbourhood(
+            f64::from(bin) / f64::from(GUESS_BINS),
+            4,
+        ));
+    }
+}
+
+#[test]
+fn quantizer_never_decreases_over_a_sorted_million_sample_sweep() {
+    let mut samples = uniform_samples();
+    samples.sort_by(f64::total_cmp);
+    assert_non_decreasing(&samples);
+}
+
+#[test]
+fn quantizer_saturates_outside_the_unit_interval() {
+    for x in [
+        f64::NAN,
+        -0.0,
+        0.0,
+        -f64::MIN_POSITIVE,
+        -0.5,
+        -1.0,
+        f64::MIN,
+        f64::NEG_INFINITY,
+    ] {
+        assert_eq!(linear_to_srgb8(x), 0, "{x:e} must map to code 0");
+    }
+    for x in [1.0, next_up(1.0), 1.5, 2.0, f64::MAX, f64::INFINITY] {
+        assert_eq!(linear_to_srgb8(x), 255, "{x:e} must map to code 255");
+    }
+}
+
+#[test]
+fn one_million_uniform_samples_are_bit_exact() {
+    let inputs = uniform_samples();
     let mut lut_codes = vec![0u8; inputs.len()];
     linear_to_srgb8_slice(&inputs, &mut lut_codes);
     for (x, code) in inputs.iter().zip(&lut_codes) {

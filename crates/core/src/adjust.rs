@@ -19,9 +19,11 @@
 //! it would leave `[0, 1]`.
 
 use pvc_bdc::tile_codec::bits_for_range;
-use pvc_color::lanes::{max_f64, min_f64, min_max_u8};
-use pvc_color::srgb::linear_to_srgb8_slice;
-use pvc_color::{AxisExtrema, DiscriminationEllipsoid, LinearRgb, RgbAxis, Vec3};
+use pvc_color::lanes::{max_f64, min_f64};
+use pvc_color::{
+    dkl_to_rgb_matrix, linear_to_srgb8, AxisExtrema, DiscriminationEllipsoid, LinearRgb, Mat3,
+    RgbAxis, Vec3,
+};
 use pvc_frame::LinearTileLanes;
 use serde::{Deserialize, Serialize};
 
@@ -168,62 +170,186 @@ fn clamp_step_to_gamut(origin: Vec3, direction: Vec3, t: f64) -> f64 {
     limit * sign
 }
 
-/// Per-axis SoA working buffers for the vectorized adjustment path.
+/// Per-tile SoA working buffers for the vectorized adjustment path.
 ///
 /// Each `Vec` is one contiguous lane the 8-wide kernels stream over: the
-/// per-pixel extrema direction components (`dir_*`), the low/high plane
-/// values the HL/LH reduction consumes, the candidate and best-so-far
-/// output pixel lanes, and a code lane for the Δ-bit costing. All buffers
-/// are cleared, never shrunk, so the steady state performs no allocation.
+/// tile's pixels and ellipsoids (transposed once per tile), one axis
+/// attempt's extrema, and the candidate and best-so-far output pixel
+/// lanes. All buffers are refilled in place, never shrunk, so the steady
+/// state performs no allocation.
 #[derive(Debug, Clone, Default)]
 struct AdjustLanes {
     pixels: LinearTileLanes,
+    ellipsoids: EllipsoidLanes,
+    extrema: ExtremaLanes,
+    out: LinearTileLanes,
+    best: LinearTileLanes,
+}
+
+/// A tile's discrimination ellipsoids as six lanes: the DKL center
+/// `(k1, k2, k3)` and the DKL semi-axes `(a, b, c)`.
+#[derive(Debug, Clone, Default)]
+struct EllipsoidLanes {
+    k1: Vec<f64>,
+    k2: Vec<f64>,
+    k3: Vec<f64>,
+    a: Vec<f64>,
+    b: Vec<f64>,
+    c: Vec<f64>,
+}
+
+impl EllipsoidLanes {
+    /// Transposes the ellipsoids into the six lanes, clearing them first.
+    fn fill_from(&mut self, ellipsoids: &[DiscriminationEllipsoid]) {
+        let EllipsoidLanes {
+            k1,
+            k2,
+            k3,
+            a,
+            b,
+            c,
+        } = self;
+        for lane in [&mut *k1, &mut *k2, &mut *k3, &mut *a, &mut *b, &mut *c] {
+            lane.clear();
+        }
+        k1.extend(ellipsoids.iter().map(|e| e.center_dkl().k1));
+        k2.extend(ellipsoids.iter().map(|e| e.center_dkl().k2));
+        k3.extend(ellipsoids.iter().map(|e| e.center_dkl().k3));
+        a.extend(ellipsoids.iter().map(|e| e.axes().a));
+        b.extend(ellipsoids.iter().map(|e| e.axes().b));
+        c.extend(ellipsoids.iter().map(|e| e.axes().c));
+    }
+}
+
+/// One axis attempt's extrema over the tile: the per-pixel extrema vector
+/// `high − low` (`dir_*`) and the axis-channel values of the low and high
+/// points, which the HL/LH reduction consumes.
+#[derive(Debug, Clone, Default)]
+struct ExtremaLanes {
     dir_x: Vec<f64>,
     dir_y: Vec<f64>,
     dir_z: Vec<f64>,
     low: Vec<f64>,
     high: Vec<f64>,
-    out: LinearTileLanes,
-    best: LinearTileLanes,
-    codes: Vec<u8>,
 }
 
-impl AdjustLanes {
-    /// Refills the per-axis direction and plane-value lanes from the
-    /// scalar extrema.
-    fn fill_axis(&mut self, extrema: &[AxisExtrema]) {
-        self.dir_x.clear();
-        self.dir_y.clear();
-        self.dir_z.clear();
-        self.low.clear();
-        self.high.clear();
-        for ext in extrema {
-            let d = ext.extrema_vector();
-            self.dir_x.push(d.x);
-            self.dir_y.push(d.y);
-            self.dir_z.push(d.z);
-            self.low.push(ext.low_value());
-            self.high.push(ext.high_value());
-        }
+/// The Compute Extrema phase over lanes: for every pixel, the values
+/// [`DiscriminationEllipsoid::extrema_along_axis`] would produce, reduced
+/// to what the later phases read.
+///
+/// The loop body is the scalar method's expression sequence, in the same
+/// operation order: `(w·s)·s` for `D⁻¹w`, the left-to-right dot product,
+/// `.max(0.0).sqrt()`, the scale by `1.0 / denom`, and the row-wise
+/// `Mat3 * Vec3` products. Its two branches become selects on the same
+/// predicates: `denom <= EPSILON` picks the zero offset (so a NaN `denom`
+/// takes the divide, as in the scalar code), and `high ≥ low` on the axis
+/// channel keeps the order, else swaps it. So every lane holds the scalar
+/// path's bits.
+fn extrema_lanes(
+    ellipsoids: &EllipsoidLanes,
+    dkl_to_rgb: Mat3,
+    axis: RgbAxis,
+    out: &mut ExtremaLanes,
+) {
+    // One monomorphized loop per axis, so the axis channel is a constant.
+    match axis.index() {
+        0 => extrema_lanes_along::<0>(ellipsoids, dkl_to_rgb, out),
+        1 => extrema_lanes_along::<1>(ellipsoids, dkl_to_rgb, out),
+        _ => extrema_lanes_along::<2>(ellipsoids, dkl_to_rgb, out),
     }
 }
 
-/// [`delta_bit_cost`] computed over SoA lanes: each channel lane is
-/// quantized with the sRGB encode-LUT slice kernel and reduced with the
-/// chunked min/max. Bit-identical to the scalar walk because the
-/// per-element quantizer is the same function and integer min/max is
-/// order-independent.
-fn delta_bit_cost_lanes(lanes: &LinearTileLanes, codes: &mut Vec<u8>) -> u64 {
+fn extrema_lanes_along<const AXIS: usize>(
+    ellipsoids: &EllipsoidLanes,
+    dkl_to_rgb: Mat3,
+    out: &mut ExtremaLanes,
+) {
+    let n = ellipsoids.k1.len();
+    let ExtremaLanes {
+        dir_x,
+        dir_y,
+        dir_z,
+        low,
+        high,
+    } = out;
+    // Every slot is overwritten below, so stale values may stay; a
+    // same-sized tile skips the zero fill.
+    for lane in [&mut *dir_x, &mut *dir_y, &mut *dir_z, &mut *low, &mut *high] {
+        lane.resize(n, 0.0);
+    }
+    let EllipsoidLanes {
+        k1,
+        k2,
+        k3,
+        a,
+        b,
+        c,
+    } = ellipsoids;
+    let (k1, k2, k3) = (&k1[..n], &k2[..n], &k3[..n]);
+    let (a, b, c) = (&a[..n], &b[..n], &c[..n]);
+    let (dx, dy, dz) = (&mut dir_x[..n], &mut dir_y[..n], &mut dir_z[..n]);
+    let (lo, hi) = (&mut low[..n], &mut high[..n]);
+    let w = dkl_to_rgb.row(AXIS);
+    for i in 0..n {
+        // D⁻¹ w  (D is diagonal).
+        let dinv_w = Vec3::new(w.x * a[i] * a[i], w.y * b[i] * b[i], w.z * c[i] * c[i]);
+        let denom = w.dot(dinv_w).max(0.0).sqrt();
+        let scaled = dinv_w * (1.0 / denom);
+        let offset = if denom <= f64::EPSILON {
+            Vec3::ZERO
+        } else {
+            scaled
+        };
+        let center = Vec3::new(k1[i], k2[i], k3[i]);
+        let up = dkl_to_rgb * (center + offset);
+        let down = dkl_to_rgb * (center - offset);
+        let keep = up.component(AXIS) >= down.component(AXIS);
+        let (h, l) = if keep { (up, down) } else { (down, up) };
+        let d = h - l;
+        dx[i] = d.x;
+        dy[i] = d.y;
+        dz[i] = d.z;
+        lo[i] = l.component(AXIS);
+        hi[i] = h.component(AXIS);
+    }
+}
+
+/// [`delta_bit_cost`] computed over SoA lanes with two quantizations per
+/// channel instead of one per pixel.
+///
+/// `linear_to_srgb8` is monotone non-decreasing, so a channel's smallest
+/// and largest code are the codes of its smallest and largest value. The
+/// reduction ([`quantizer_min_max`]) reads every value through a select
+/// that maps exactly the inputs the quantizer sends to code 0 by its
+/// `!(x > 0.0)` test — NaN, ±0.0 and negatives — to `0.0`, so no NaN
+/// reaches the min/max and the reduced extremes quantize to the scalar
+/// walk's codes bit for bit.
+fn delta_bit_cost_lanes(lanes: &LinearTileLanes) -> u64 {
     let n = lanes.len();
     let mut total = 0u64;
     for channel in 0..3 {
-        codes.clear();
-        codes.resize(n, 0);
-        linear_to_srgb8_slice(lanes.channel(channel), codes);
-        let (min, max) = min_max_u8(codes);
-        total += u64::from(bits_for_range(max - min)) * n as u64;
+        let (min, max) = quantizer_min_max(lanes.channel(channel));
+        let range = linear_to_srgb8(max) - linear_to_srgb8(min);
+        total += u64::from(bits_for_range(range)) * n as u64;
     }
     total
+}
+
+/// `(min, max)` of a channel lane as the sRGB quantizer sees it: every
+/// value is read through `if x > 0.0 { x } else { 0.0 }` first.
+///
+/// The sanitized values are never NaN or −0.0, so the plain select-form
+/// min/max, which needs no NaN handling, returns exactly the smallest and
+/// largest value.
+fn quantizer_min_max(values: &[f64]) -> (f64, f64) {
+    let mut min = f64::INFINITY;
+    let mut max = f64::NEG_INFINITY;
+    for &x in values {
+        let x = if x > 0.0 { x } else { 0.0 };
+        min = if x < min { x } else { min };
+        max = if x > max { x } else { max };
+    }
+    (min, max)
 }
 
 /// The vectorized Phase 3 color shift: moves every pixel lane-wise toward
@@ -246,11 +372,9 @@ fn lane_axis_adjust(
     out: &mut LinearTileLanes,
 ) -> AdjustmentCase {
     let n = pixels.len();
-    out.r.clear();
+    // Every slot is overwritten below; no zero fill needed.
     out.r.resize(n, 0.0);
-    out.g.clear();
     out.g.resize(n, 0.0);
-    out.b.clear();
     out.b.resize(n, 0.0);
     let (px, py, pz) = (&pixels.r[..n], &pixels.g[..n], &pixels.b[..n]);
     let (dx, dy, dz) = (&dirs.0[..n], &dirs.1[..n], &dirs.2[..n]);
@@ -283,11 +407,9 @@ fn lane_axis_adjust(
         let mut limit = t0.abs();
         for (d, o) in [(dx[i], px[i]), (dy[i], py[i]), (dz[i], pz[i])] {
             let d = d * sign;
-            let room = if d > 0.0 {
-                (1.0 - o) / d
-            } else {
-                (0.0 - o) / d
-            };
+            // Select the numerator, then divide once: the same quotient
+            // the scalar branch computes, at one divide per channel.
+            let room = (if d > 0.0 { 1.0 - o } else { 0.0 - o }) / d;
             limit = if d.abs() > f64::EPSILON && room < limit {
                 room.max(0.0)
             } else {
@@ -308,9 +430,9 @@ fn lane_axis_adjust(
 }
 
 /// Reusable buffers for per-tile adjustment: the tile's gathered pixels
-/// and ellipsoids (filled by the caller) plus the per-axis working buffers
-/// (extrema, SoA lanes and the best-so-far pixel set) the adjustment
-/// cycles through internally.
+/// and ellipsoids (filled by the caller) plus the working buffers (SoA
+/// pixel, ellipsoid and extrema lanes and the best-so-far pixel set) the
+/// adjustment cycles through internally.
 ///
 /// One scratch serves an unbounded stream of tiles: every buffer is
 /// cleared, never shrunk, so after the first few tiles the hot loop of
@@ -324,7 +446,6 @@ pub struct AdjustScratch {
     pub pixels: Vec<LinearRgb>,
     /// One discrimination ellipsoid per pixel, built by the caller.
     pub ellipsoids: Vec<DiscriminationEllipsoid>,
-    extrema: Vec<AxisExtrema>,
     lanes: AdjustLanes,
     best: Vec<LinearRgb>,
 }
@@ -368,17 +489,20 @@ pub struct TileAdjustOutcome {
     pub adjusted_cost: u64,
 }
 
-/// Adjusts one tile along a single axis, writing the adjusted pixels into
-/// a caller-provided buffer (cleared first) and returning the case and
-/// plane values. The scratch-path core shared by [`adjust_tile_along_axis`]
-/// and [`adjust_tile_with`].
-fn axis_adjust_into(
+/// Adjusts one tile along a single axis.
+///
+/// The scalar reference the lane path ([`adjust_tile_with`]) is pinned
+/// against; it allocates its result buffers per call, so hot loops should
+/// prefer [`adjust_tile_with`] with a reused [`AdjustScratch`].
+///
+/// # Panics
+///
+/// Panics if `pixels` and `ellipsoids` have different lengths or are empty.
+pub fn adjust_tile_along_axis(
     pixels: &[LinearRgb],
     ellipsoids: &[DiscriminationEllipsoid],
     axis: RgbAxis,
-    extrema: &mut Vec<AxisExtrema>,
-    out: &mut Vec<LinearRgb>,
-) -> (AdjustmentCase, f64, f64) {
+) -> AxisAdjustment {
     assert_eq!(
         pixels.len(),
         ellipsoids.len(),
@@ -387,8 +511,10 @@ fn axis_adjust_into(
     assert!(!pixels.is_empty(), "cannot adjust an empty tile");
 
     // Phase 1: per-pixel extrema (the Compute Extrema blocks of the CAU).
-    extrema.clear();
-    extrema.extend(ellipsoids.iter().map(|e| e.extrema_along_axis(axis)));
+    let extrema: Vec<AxisExtrema> = ellipsoids
+        .iter()
+        .map(|e| e.extrema_along_axis(axis))
+        .collect();
 
     // Phase 2: HL / LH reduction (the Compute Planes blocks).
     let hl = extrema
@@ -401,50 +527,33 @@ fn axis_adjust_into(
         .fold(f64::INFINITY, f64::min);
 
     // Phase 3: color shifts (the Color Shift blocks).
-    out.clear();
-    let case = if hl <= lh {
+    let (case, adjusted) = if hl <= lh {
         // Case 2: collapse every color onto the average plane.
         let plane = 0.5 * (hl + lh);
-        out.extend(
-            pixels
-                .iter()
-                .zip(extrema.iter())
-                .map(|(&p, ext)| move_along_extrema(p, ext, axis, plane)),
-        );
-        AdjustmentCase::CommonPlane
+        let adjusted = pixels
+            .iter()
+            .zip(&extrema)
+            .map(|(&p, ext)| move_along_extrema(p, ext, axis, plane))
+            .collect();
+        (AdjustmentCase::CommonPlane, adjusted)
     } else {
         // Case 1: clamp the axis values into [LH, HL].
-        out.extend(pixels.iter().zip(extrema.iter()).map(|(&p, ext)| {
-            let value = p.channel(axis.index());
-            if value > hl {
-                move_along_extrema(p, ext, axis, hl)
-            } else if value < lh {
-                move_along_extrema(p, ext, axis, lh)
-            } else {
-                p
-            }
-        }));
-        AdjustmentCase::NoCommonPlane
+        let adjusted = pixels
+            .iter()
+            .zip(&extrema)
+            .map(|(&p, ext)| {
+                let value = p.channel(axis.index());
+                if value > hl {
+                    move_along_extrema(p, ext, axis, hl)
+                } else if value < lh {
+                    move_along_extrema(p, ext, axis, lh)
+                } else {
+                    p
+                }
+            })
+            .collect();
+        (AdjustmentCase::NoCommonPlane, adjusted)
     };
-    (case, hl, lh)
-}
-
-/// Adjusts one tile along a single axis.
-///
-/// Allocates the result buffers per call; hot loops should prefer
-/// [`adjust_tile_with`] with a reused [`AdjustScratch`].
-///
-/// # Panics
-///
-/// Panics if `pixels` and `ellipsoids` have different lengths or are empty.
-pub fn adjust_tile_along_axis(
-    pixels: &[LinearRgb],
-    ellipsoids: &[DiscriminationEllipsoid],
-    axis: RgbAxis,
-) -> AxisAdjustment {
-    let mut extrema = Vec::new();
-    let mut adjusted = Vec::new();
-    let (case, hl, lh) = axis_adjust_into(pixels, ellipsoids, axis, &mut extrema, &mut adjusted);
     AxisAdjustment {
         axis,
         case,
@@ -459,15 +568,17 @@ pub fn adjust_tile_along_axis(
 /// the smallest Δ bit cost. The winning pixels land in
 /// [`AdjustScratch::best`]; only metadata is returned.
 ///
-/// This is the vectorized path: the tile is transposed into SoA lanes
-/// once, every axis attempt runs the lane kernels (`lane_axis_adjust`,
-/// `delta_bit_cost_lanes`, the chunked HL/LH reductions), and only the
-/// winning lanes are scattered back to AoS. Bit-identical to
-/// [`adjust_tile`] and to the scalar per-axis reference
-/// ([`adjust_tile_along_axis`]) on the same inputs — the lanes only change
-/// where intermediate values live and the order of order-independent
-/// reductions, never a single computed value. Ties between axes resolve to
-/// the first axis tried, matching `Iterator::min_by_key`.
+/// This is the vectorized path: the tile's pixels and ellipsoids are
+/// transposed into SoA lanes once, every axis attempt runs the lane
+/// kernels (`extrema_lanes`, the chunked HL/LH reductions,
+/// `lane_axis_adjust`, `delta_bit_cost_lanes`), and only the winning lanes
+/// are scattered back to AoS. Bit-identical to [`adjust_tile`] and to the
+/// scalar per-axis reference ([`adjust_tile_along_axis`]) on the same
+/// inputs — the lanes only change where intermediate values live, the
+/// order of order-independent reductions, and which values the monotone
+/// sRGB quantizer is applied to, never a single computed value. Ties
+/// between axes resolve to the first axis tried, matching
+/// `Iterator::min_by_key`.
 ///
 /// # Panics
 ///
@@ -481,7 +592,6 @@ pub fn adjust_tile_with(scratch: &mut AdjustScratch, axes: &[RgbAxis]) -> TileAd
     let AdjustScratch {
         pixels,
         ellipsoids,
-        extrema,
         lanes,
         best,
     } = scratch;
@@ -492,34 +602,36 @@ pub fn adjust_tile_with(scratch: &mut AdjustScratch, axes: &[RgbAxis]) -> TileAd
     );
     assert!(!pixels.is_empty(), "cannot adjust an empty tile");
 
-    // Gather the tile into SoA lanes once; every axis attempt reads them.
+    // Transpose the tile's pixels and ellipsoids into SoA lanes once; every
+    // axis attempt reads them.
     lanes.pixels.fill_from_pixels(pixels);
-    let original_cost = delta_bit_cost_lanes(&lanes.pixels, &mut lanes.codes);
+    lanes.ellipsoids.fill_from(ellipsoids);
+    let dkl_to_rgb = dkl_to_rgb_matrix();
+    let original_cost = delta_bit_cost_lanes(&lanes.pixels);
     let mut chosen: Option<TileAdjustOutcome> = None;
     for &axis in axes {
         // Phase 1: per-pixel extrema (the Compute Extrema blocks of the
-        // CAU), split into direction and plane-value lanes.
-        extrema.clear();
-        extrema.extend(ellipsoids.iter().map(|e| e.extrema_along_axis(axis)));
-        lanes.fill_axis(extrema);
+        // CAU), straight into direction and plane-value lanes.
+        extrema_lanes(&lanes.ellipsoids, dkl_to_rgb, axis, &mut lanes.extrema);
+        let extrema = &lanes.extrema;
 
         // Phase 2: HL / LH reduction (the Compute Planes blocks). The
         // chunked reductions visit values in a different order than a
         // scalar fold, which is harmless: f64 max/min are associative and
         // commutative over the non-NaN values extrema produce.
-        let hl = max_f64(&lanes.low);
-        let lh = min_f64(&lanes.high);
+        let hl = max_f64(&extrema.low);
+        let lh = min_f64(&extrema.high);
 
         // Phase 3: color shifts (the Color Shift blocks), lane-wise.
         let case = lane_axis_adjust(
             &lanes.pixels,
-            (&lanes.dir_x, &lanes.dir_y, &lanes.dir_z),
+            (&extrema.dir_x, &extrema.dir_y, &extrema.dir_z),
             axis,
             hl,
             lh,
             &mut lanes.out,
         );
-        let adjusted_cost = delta_bit_cost_lanes(&lanes.out, &mut lanes.codes);
+        let adjusted_cost = delta_bit_cost_lanes(&lanes.out);
         // Strict `<` keeps the first minimal axis, like min_by_key.
         if chosen.map_or(true, |c| adjusted_cost < c.adjusted_cost) {
             std::mem::swap(&mut lanes.out, &mut lanes.best);
@@ -808,6 +920,84 @@ mod tests {
                     outcome.adjusted_cost,
                     expected.delta_bit_cost(),
                     "ecc {ecc}"
+                );
+            }
+        }
+    }
+
+    /// Smallest `f64` the quantizer maps to at least `code`, bisected on
+    /// the bit pattern (order-preserving for non-negative doubles).
+    fn decision_threshold(code: u8) -> f64 {
+        let (mut lo, mut hi) = (0.0f64.to_bits(), 1.0f64.to_bits());
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if linear_to_srgb8(f64::from_bits(mid)) >= code {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        f64::from_bits(hi)
+    }
+
+    #[test]
+    fn lane_cost_matches_the_scalar_cost_on_adversarial_values() {
+        // Values the quantizer sends to code 0 by its `!(x > 0.0)` test, or
+        // to 255 by `x >= 1.0`: the sanitizing select must agree with both.
+        let specials = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            -f64::MIN_POSITIVE,
+            -0.5,
+            f64::NEG_INFINITY,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0,
+            f64::INFINITY,
+        ];
+        // Each code's decision threshold and its two neighbouring doubles.
+        let near: Vec<[f64; 3]> = (1..=255u8)
+            .map(|code| {
+                let t = decision_threshold(code);
+                [
+                    f64::from_bits(t.to_bits() - 1),
+                    t,
+                    f64::from_bits(t.to_bits() + 1),
+                ]
+            })
+            .collect();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize
+        };
+        let mut lanes = LinearTileLanes::new();
+        // Sub-lane, whole-lane-group and remainder tile lengths.
+        for len in 1..=33usize {
+            for trial in 0..64 {
+                // Values straddling two adjacent thresholds, so each
+                // channel's range sits on a code boundary; every fourth
+                // trial also mixes in the special values.
+                let code = next() % 254;
+                let mut pool: Vec<f64> =
+                    near[code].iter().chain(&near[code + 1]).copied().collect();
+                if trial % 4 == 0 {
+                    pool.extend(specials);
+                }
+                let pixels: Vec<LinearRgb> = (0..len)
+                    .map(|_| {
+                        let mut pick = || pool[next() % pool.len()];
+                        LinearRgb::new(pick(), pick(), pick())
+                    })
+                    .collect();
+                lanes.fill_from_pixels(&pixels);
+                assert_eq!(
+                    delta_bit_cost_lanes(&lanes),
+                    delta_bit_cost(&pixels),
+                    "len {len}, pixels {pixels:?}"
                 );
             }
         }

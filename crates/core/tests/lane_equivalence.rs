@@ -7,13 +7,17 @@
 //! whose pixel count is not a multiple of the lane width (scalar remainder
 //! tail), single-pixel tiles, near-constant tiles (degenerate extrema spans,
 //! where the speculative lane divide produces garbage that the select must
-//! discard), and near-zero eccentricities (degenerate ellipsoids that leave
-//! no room to move, exercising the no-regress fallback).
+//! discard), near-zero eccentricities (degenerate ellipsoids that leave
+//! no room to move, exercising the no-regress fallback), and tiles whose
+//! channels sit within a few ulps of sRGB8 rounding decisions or just
+//! outside the gamut (where the Δ-bit costing quantizes only each
+//! channel's extremes).
 
 use proptest::prelude::*;
 use pvc_bdc::tile_codec::bits_for_range;
 use pvc_color::{
-    linear_to_srgb8, DiscriminationModel, LinearRgb, RgbAxis, SyntheticDiscriminationModel,
+    linear_to_srgb8, srgb_to_linear, DiscriminationModel, LinearRgb, RgbAxis,
+    SyntheticDiscriminationModel,
 };
 use pvc_core::{adjust_tile_along_axis, adjust_tile_with, AdjustScratch, AxisAdjustment};
 
@@ -122,7 +126,49 @@ fn arb_smooth_tile() -> impl Strategy<Value = Vec<LinearRgb>> {
         })
 }
 
+/// A tile whose channels sit on sRGB8 rounding decisions, where the Δ-bit
+/// costing must quantize each channel's extremes exactly as the scalar
+/// walk quantizes every pixel.
+///
+/// Per tile and channel a base code `k` is drawn; each pixel's channel is
+/// the linear image of a code midpoint `(k + step + 0.5) / 255`
+/// (`step ∈ 0..=2`) moved by up to four ulps either way. One channel value
+/// in eight lies just outside `[0, 1]` instead (`-0.0` included), so
+/// slightly out-of-gamut pixels are covered too.
+fn arb_threshold_tile() -> impl Strategy<Value = Vec<LinearRgb>> {
+    let channel = (0u8..=2, 0u32..=8, 0u8..16, 0.0..0.01f64);
+    (
+        proptest::array::uniform3(0u8..=252),
+        proptest::collection::vec(proptest::array::uniform3(channel), 1..65),
+    )
+        .prop_map(|(base, pixels)| {
+            pixels
+                .into_iter()
+                .map(|channels| {
+                    let value = |c: usize| {
+                        let (step, ulps, pick, outside) = channels[c];
+                        match pick {
+                            0 => -outside,
+                            1 => 1.0 + outside,
+                            _ => {
+                                let code = f64::from(base[c] + step);
+                                let midpoint = srgb_to_linear((code + 0.5) / 255.0);
+                                f64::from_bits(midpoint.to_bits() + u64::from(ulps) - 4)
+                            }
+                        }
+                    };
+                    LinearRgb::new(value(0), value(1), value(2))
+                })
+                .collect()
+        })
+}
+
 proptest! {
+    #[test]
+    fn threshold_tiles_match(pixels in arb_threshold_tile(), ecc in 0.5..40.0f64) {
+        assert_lane_matches_scalar(&pixels, ecc);
+    }
+
     #[test]
     fn full_4x4_tiles_match(pixels in arb_full_tile(4), ecc in 0.5..40.0f64) {
         assert_lane_matches_scalar(&pixels, ecc);
