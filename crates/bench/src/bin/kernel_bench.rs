@@ -13,10 +13,10 @@ use pvc_bench::cli::{exit_with_usage, ArgSpec};
 use pvc_bench::json::{object, write_json, Json};
 use pvc_color::{
     linear_to_srgb8_slice, srgb8_to_linear_slice, DiscriminationEllipsoid, DiscriminationModel,
-    LinearRgb, RgbAxis, Srgb8, SyntheticDiscriminationModel,
+    EllipsoidLanes, LinearRgb, RgbAxis, Srgb8, SyntheticDiscriminationModel,
 };
 use pvc_core::{adjust_tile_with, AdjustScratch};
-use pvc_frame::{Dimensions, SrgbFrame, SrgbTileLanes};
+use pvc_frame::{Dimensions, LinearTileLanes, SrgbFrame, SrgbTileLanes};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -130,20 +130,26 @@ fn synthetic_tile(pixels_per_tile: usize, seed: &mut u64) -> Vec<LinearRgb> {
         .collect()
 }
 
-/// Per-pixel discrimination-ellipsoid construction (the model evaluation
-/// that feeds the adjustment; not a lane kernel, but timed so the adjust
-/// stage's split is visible).
+/// Discrimination-ellipsoid construction as the frame encoder runs it:
+/// the model fills a tile's six ellipsoid lanes straight from its
+/// (pre-transposed) channel lanes.
 fn bench_ellipsoid_build(tiles: &[Vec<LinearRgb>], iters: u32) -> KernelResult {
     let model = SyntheticDiscriminationModel::default();
     let pixels_per_iter: usize = tiles.iter().map(Vec::len).sum();
-    let mut scratch = AdjustScratch::new();
+    let tile_lanes: Vec<LinearTileLanes> = tiles
+        .iter()
+        .map(|tile| {
+            let mut lanes = LinearTileLanes::new();
+            lanes.fill_from_pixels(tile);
+            lanes
+        })
+        .collect();
+    let mut ellipsoids = EllipsoidLanes::new();
     let wall_seconds = time(iters, || {
         let mut sum = 0.0f64;
-        for tile in tiles {
-            scratch.pixels.clear();
-            scratch.pixels.extend_from_slice(tile);
-            scratch.build_ellipsoids(|p| model.ellipsoid(p, 12.0));
-            sum += scratch.ellipsoids.len() as f64;
+        for lanes in &tile_lanes {
+            model.ellipsoid_lanes(&lanes.r, &lanes.g, &lanes.b, 12.0, &mut ellipsoids);
+            sum += ellipsoids.a[0];
         }
         sum
     });

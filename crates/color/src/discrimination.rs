@@ -19,8 +19,8 @@
 //! so the substitution is transparent to every downstream crate.
 
 use crate::dkl::{dkl_axis_rgb_gain, DklColor};
-use crate::ellipsoid::{DiscriminationEllipsoid, EllipsoidAxes};
-use crate::math::solve_dense;
+use crate::ellipsoid::{DiscriminationEllipsoid, EllipsoidAxes, EllipsoidLanes};
+use crate::math::{solve_dense, Vec3};
 use crate::srgb::LinearRgb;
 use serde::{Deserialize, Serialize};
 
@@ -30,8 +30,8 @@ pub const MAX_ECCENTRICITY_DEG: f64 = 55.0;
 
 /// The color discrimination function Φ: `(κ, e) → (a, b, c)` (Eq. 3).
 ///
-/// Implementations must be deterministic and cheap; the encoder calls this
-/// once per pixel.
+/// Implementations must be deterministic and cheap; the encoder evaluates
+/// Φ once per pixel, a tile at a time through [`Self::ellipsoid_lanes`].
 pub trait DiscriminationModel: Send + Sync {
     /// Returns the DKL semi-axes of the discrimination ellipsoid of `color`
     /// viewed at `eccentricity_deg` degrees from fixation.
@@ -45,15 +45,66 @@ pub trait DiscriminationModel: Send + Sync {
         )
     }
 
+    /// The ellipsoids of a whole tile viewed at one eccentricity, written
+    /// into `out` (cleared first) as lanes: slot `i` holds the ellipsoid of
+    /// the pixel `(r[i], g[i], b[i])`.
+    ///
+    /// The default calls [`Self::ellipsoid`] once per pixel. A model may
+    /// override it to hoist per-tile work out of the pixel loop, but every
+    /// lane must hold the bits the per-pixel call produces, and it must
+    /// panic wherever the per-pixel call would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three channel lanes have different lengths, or where
+    /// [`Self::ellipsoid`] panics on one of the pixels.
+    fn ellipsoid_lanes(
+        &self,
+        r: &[f64],
+        g: &[f64],
+        b: &[f64],
+        eccentricity_deg: f64,
+        out: &mut EllipsoidLanes,
+    ) {
+        assert_channel_lanes_match(r, g, b);
+        out.clear();
+        for ((&r, &g), &b) in r.iter().zip(g).zip(b) {
+            out.push(self.ellipsoid(LinearRgb::new(r, g, b), eccentricity_deg));
+        }
+    }
+
     /// A short human-readable name for reports.
     fn name(&self) -> &str {
         "discrimination-model"
     }
 }
 
+/// The shared length check of every [`DiscriminationModel::ellipsoid_lanes`].
+fn assert_channel_lanes_match(r: &[f64], g: &[f64], b: &[f64]) {
+    assert!(
+        r.len() == g.len() && r.len() == b.len(),
+        "channel lanes must have equal lengths: ({}, {}, {})",
+        r.len(),
+        g.len(),
+        b.len()
+    );
+}
+
+// The blanket impls forward `ellipsoid_lanes` too, so a wrapped model keeps
+// its lane build instead of falling back to the per-pixel default.
 impl<T: DiscriminationModel + ?Sized> DiscriminationModel for &T {
     fn ellipsoid_axes(&self, color: LinearRgb, eccentricity_deg: f64) -> EllipsoidAxes {
         (**self).ellipsoid_axes(color, eccentricity_deg)
+    }
+    fn ellipsoid_lanes(
+        &self,
+        r: &[f64],
+        g: &[f64],
+        b: &[f64],
+        eccentricity_deg: f64,
+        out: &mut EllipsoidLanes,
+    ) {
+        (**self).ellipsoid_lanes(r, g, b, eccentricity_deg, out)
     }
     fn name(&self) -> &str {
         (**self).name()
@@ -63,6 +114,16 @@ impl<T: DiscriminationModel + ?Sized> DiscriminationModel for &T {
 impl<T: DiscriminationModel + ?Sized> DiscriminationModel for std::sync::Arc<T> {
     fn ellipsoid_axes(&self, color: LinearRgb, eccentricity_deg: f64) -> EllipsoidAxes {
         (**self).ellipsoid_axes(color, eccentricity_deg)
+    }
+    fn ellipsoid_lanes(
+        &self,
+        r: &[f64],
+        g: &[f64],
+        b: &[f64],
+        eccentricity_deg: f64,
+        out: &mut EllipsoidLanes,
+    ) {
+        (**self).ellipsoid_lanes(r, g, b, eccentricity_deg, out)
     }
     fn name(&self) -> &str {
         (**self).name()
@@ -165,34 +226,92 @@ impl SyntheticDiscriminationModel {
         self.params
     }
 
-    /// Scalar threshold scale (linear RGB units) at a given eccentricity and
-    /// luminance, before the per-DKL-axis weighting.
-    fn extent_scale(&self, eccentricity_deg: f64, luminance: f64) -> f64 {
+    /// The eccentricity-dependent part of the threshold scale: the same
+    /// for every pixel of a tile.
+    #[inline]
+    fn base_extent(&self, eccentricity_deg: f64) -> f64 {
         let p = &self.params;
         let e = eccentricity_deg
             .clamp(0.0, MAX_ECCENTRICITY_DEG)
             .min(p.saturation_eccentricity);
-        let base = p.foveal_extent + p.extent_per_degree * e;
+        p.foveal_extent + p.extent_per_degree * e
+    }
+
+    /// Scalar threshold scale (linear RGB units) of a color of the given
+    /// luminance, from [`Self::base_extent`], before the per-DKL-axis
+    /// weighting.
+    #[inline]
+    fn extent_scale(&self, base: f64, luminance: f64) -> f64 {
+        let p = &self.params;
         let lum = luminance.clamp(0.0, 1.0);
         let boost = p.dark_boost + (1.0 - p.dark_boost) * lum;
         base * boost
+    }
+
+    /// The three semi-axes of a threshold scale, unchecked.
+    ///
+    /// Each DKL axis is normalized by `gains` ([`dkl_axis_rgb_gain`]): how
+    /// strongly a unit step along it moves the color in linear RGB, so the
+    /// weights are expressed in perceptually meaningful (RGB-sized) units
+    /// regardless of the DKL matrix conditioning.
+    #[inline]
+    fn semi_axes(&self, scale: f64, gains: Vec3) -> [f64; 3] {
+        let p = &self.params;
+        [
+            (scale * p.weight_k1 / gains.x).max(1e-9),
+            (scale * p.weight_k2 / gains.y).max(1e-9),
+            (scale * p.weight_k3 / gains.z).max(1e-9),
+        ]
     }
 }
 
 impl DiscriminationModel for SyntheticDiscriminationModel {
     fn ellipsoid_axes(&self, color: LinearRgb, eccentricity_deg: f64) -> EllipsoidAxes {
-        let scale = self.extent_scale(eccentricity_deg, color.luminance());
-        let p = &self.params;
-        // Normalize each DKL axis by how strongly a unit step along it moves
-        // the color in linear RGB, so the weights are expressed in
-        // perceptually meaningful (RGB-sized) units regardless of the DKL
-        // matrix conditioning.
+        let base = self.base_extent(eccentricity_deg);
+        let scale = self.extent_scale(base, color.luminance());
+        let [a, b, c] = self.semi_axes(scale, dkl_axis_rgb_gain());
+        EllipsoidAxes::new(a, b, c)
+    }
+
+    /// The per-pixel path with the per-tile work hoisted: the eccentricity
+    /// clamp and base extent, and the DKL axis gains, are computed once.
+    /// The loop body calls the very helpers (and conversions) the
+    /// per-pixel path calls, on the same values, so every lane holds its
+    /// bits; the semi-axis check runs once over the finished tile.
+    fn ellipsoid_lanes(
+        &self,
+        r: &[f64],
+        g: &[f64],
+        b: &[f64],
+        eccentricity_deg: f64,
+        out: &mut EllipsoidLanes,
+    ) {
+        assert_channel_lanes_match(r, g, b);
+        let n = r.len();
+        let base = self.base_extent(eccentricity_deg);
         let gains = dkl_axis_rgb_gain();
-        EllipsoidAxes::new(
-            (scale * p.weight_k1 / gains.x).max(1e-9),
-            (scale * p.weight_k2 / gains.y).max(1e-9),
-            (scale * p.weight_k3 / gains.z).max(1e-9),
-        )
+        out.resize(n);
+        let EllipsoidLanes {
+            k1,
+            k2,
+            k3,
+            a,
+            b: axis_b,
+            c,
+        } = out;
+        let (k1, k2, k3) = (&mut k1[..n], &mut k2[..n], &mut k3[..n]);
+        let (a, axis_b, c) = (&mut a[..n], &mut axis_b[..n], &mut c[..n]);
+        let (r, g, b) = (&r[..n], &g[..n], &b[..n]);
+        for i in 0..n {
+            let color = LinearRgb::new(r[i], g[i], b[i]);
+            let center = DklColor::from_linear_rgb(color);
+            k1[i] = center.k1;
+            k2[i] = center.k2;
+            k3[i] = center.k3;
+            let scale = self.extent_scale(base, color.luminance());
+            [a[i], axis_b[i], c[i]] = self.semi_axes(scale, gains);
+        }
+        out.assert_axes_positive_and_finite();
     }
 
     fn name(&self) -> &str {

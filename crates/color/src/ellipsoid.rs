@@ -323,6 +323,117 @@ impl DiscriminationEllipsoid {
     }
 }
 
+/// A tile's discrimination ellipsoids as six structure-of-arrays lanes: the
+/// DKL center `(k1, k2, k3)` and the DKL semi-axes `(a, b, c)`, one slot
+/// per pixel in tile order.
+///
+/// This is the form the vectorized adjustment kernels read.
+/// [`DiscriminationModel::ellipsoid_lanes`](crate::DiscriminationModel::ellipsoid_lanes)
+/// fills it straight from a tile's channel lanes; [`Self::fill_from`]
+/// transposes an AoS slice. The lanes reuse their capacity, so refilling
+/// one buffer tile after tile performs no steady-state allocation.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct EllipsoidLanes {
+    /// DKL center, first axis.
+    pub k1: Vec<f64>,
+    /// DKL center, second axis.
+    pub k2: Vec<f64>,
+    /// DKL center, third axis.
+    pub k3: Vec<f64>,
+    /// Semi-axis along the first DKL axis.
+    pub a: Vec<f64>,
+    /// Semi-axis along the second DKL axis.
+    pub b: Vec<f64>,
+    /// Semi-axis along the third DKL axis.
+    pub c: Vec<f64>,
+}
+
+impl EllipsoidLanes {
+    /// Creates empty lanes.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of ellipsoids currently held.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.k1.len()
+    }
+
+    /// True when no ellipsoids are held.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.k1.is_empty()
+    }
+
+    /// Clears all six lanes, keeping their capacity.
+    pub fn clear(&mut self) {
+        for lane in self.lanes_mut() {
+            lane.clear();
+        }
+    }
+
+    /// Appends one ellipsoid.
+    pub fn push(&mut self, ellipsoid: DiscriminationEllipsoid) {
+        let center = ellipsoid.center_dkl();
+        let axes = ellipsoid.axes();
+        let values = [center.k1, center.k2, center.k3, axes.a, axes.b, axes.c];
+        for (lane, value) in self.lanes_mut().into_iter().zip(values) {
+            lane.push(value);
+        }
+    }
+
+    /// Transposes an AoS ellipsoid slice into the six lanes, clearing them
+    /// first.
+    pub fn fill_from(&mut self, ellipsoids: &[DiscriminationEllipsoid]) {
+        self.clear();
+        let centers = ellipsoids.iter().map(DiscriminationEllipsoid::center_dkl);
+        let axes = ellipsoids.iter().map(DiscriminationEllipsoid::axes);
+        self.k1.extend(centers.clone().map(|k| k.k1));
+        self.k2.extend(centers.clone().map(|k| k.k2));
+        self.k3.extend(centers.map(|k| k.k3));
+        self.a.extend(axes.clone().map(|s| s.a));
+        self.b.extend(axes.clone().map(|s| s.b));
+        self.c.extend(axes.map(|s| s.c));
+    }
+
+    /// Resizes every lane to `len` slots; callers overwrite every slot, so
+    /// a same-sized refill skips the zero fill.
+    pub(crate) fn resize(&mut self, len: usize) {
+        for lane in self.lanes_mut() {
+            lane.resize(len, 0.0);
+        }
+    }
+
+    /// [`EllipsoidAxes::new`]'s guarantee, checked once over the whole
+    /// tile: every semi-axis is strictly positive and finite.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `EllipsoidAxes::new`'s message, naming the first
+    /// offending pixel's semi-axes — the panic the per-pixel path raises.
+    pub(crate) fn assert_axes_positive_and_finite(&self) {
+        let valid = |x: f64| x > 0.0 && x.is_finite();
+        let (a, b, c) = (&self.a, &self.b, &self.c);
+        if let Some(i) = (0..a.len()).find(|&i| !(valid(a[i]) && valid(b[i]) && valid(c[i]))) {
+            // Panics: the semi-axes at `i` fail the constructor's check.
+            EllipsoidAxes::new(a[i], b[i], c[i]);
+        }
+    }
+
+    fn lanes_mut(&mut self) -> [&mut Vec<f64>; 6] {
+        let EllipsoidLanes {
+            k1,
+            k2,
+            k3,
+            a,
+            b,
+            c,
+        } = self;
+        [k1, k2, k3, a, b, c]
+    }
+}
+
 /// A general quadric surface in linear RGB space,
 /// `pᵀ Q p + q · p + k = 0`, obtained by transforming an axis-aligned DKL
 /// ellipsoid into RGB (Eq. 9–10).

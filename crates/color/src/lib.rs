@@ -42,7 +42,9 @@ pub use discrimination::{
     SyntheticDiscriminationModel, SyntheticModelParams, MAX_ECCENTRICITY_DEG,
 };
 pub use dkl::{dkl_axis_rgb_gain, dkl_to_rgb_matrix, rgb_to_dkl_matrix, DklColor, RGB_TO_DKL};
-pub use ellipsoid::{AxisExtrema, DiscriminationEllipsoid, EllipsoidAxes, RgbAxis, RgbQuadric};
+pub use ellipsoid::{
+    AxisExtrema, DiscriminationEllipsoid, EllipsoidAxes, EllipsoidLanes, RgbAxis, RgbQuadric,
+};
 pub use lanes::LANE_WIDTH;
 pub use math::{Mat3, Vec3};
 pub use srgb::{

@@ -21,10 +21,10 @@
 use pvc_bdc::tile_codec::bits_for_range;
 use pvc_color::lanes::{max_f64, min_f64};
 use pvc_color::{
-    dkl_to_rgb_matrix, linear_to_srgb8, AxisExtrema, DiscriminationEllipsoid, LinearRgb, Mat3,
-    RgbAxis, Vec3,
+    dkl_to_rgb_matrix, linear_to_srgb8, AxisExtrema, DiscriminationEllipsoid, DiscriminationModel,
+    EllipsoidLanes, LinearRgb, Mat3, RgbAxis, Vec3,
 };
-use pvc_frame::LinearTileLanes;
+use pvc_frame::{LinearFrame, LinearTileLanes, TileRect};
 use serde::{Deserialize, Serialize};
 
 /// Which of the two geometric cases of Fig. 6 a tile fell into.
@@ -173,10 +173,11 @@ fn clamp_step_to_gamut(origin: Vec3, direction: Vec3, t: f64) -> f64 {
 /// Per-tile SoA working buffers for the vectorized adjustment path.
 ///
 /// Each `Vec` is one contiguous lane the 8-wide kernels stream over: the
-/// tile's pixels and ellipsoids (transposed once per tile), one axis
-/// attempt's extrema, and the candidate and best-so-far output pixel
-/// lanes. All buffers are refilled in place, never shrunk, so the steady
-/// state performs no allocation.
+/// tile's pixels and ellipsoids (built straight into lanes on the frame
+/// path, transposed from AoS by [`adjust_tile_with`]), one axis attempt's
+/// extrema, and the candidate and best-so-far output pixel lanes. All
+/// buffers are refilled in place, never shrunk, so the steady state
+/// performs no allocation.
 #[derive(Debug, Clone, Default)]
 struct AdjustLanes {
     pixels: LinearTileLanes,
@@ -184,41 +185,6 @@ struct AdjustLanes {
     extrema: ExtremaLanes,
     out: LinearTileLanes,
     best: LinearTileLanes,
-}
-
-/// A tile's discrimination ellipsoids as six lanes: the DKL center
-/// `(k1, k2, k3)` and the DKL semi-axes `(a, b, c)`.
-#[derive(Debug, Clone, Default)]
-struct EllipsoidLanes {
-    k1: Vec<f64>,
-    k2: Vec<f64>,
-    k3: Vec<f64>,
-    a: Vec<f64>,
-    b: Vec<f64>,
-    c: Vec<f64>,
-}
-
-impl EllipsoidLanes {
-    /// Transposes the ellipsoids into the six lanes, clearing them first.
-    fn fill_from(&mut self, ellipsoids: &[DiscriminationEllipsoid]) {
-        let EllipsoidLanes {
-            k1,
-            k2,
-            k3,
-            a,
-            b,
-            c,
-        } = self;
-        for lane in [&mut *k1, &mut *k2, &mut *k3, &mut *a, &mut *b, &mut *c] {
-            lane.clear();
-        }
-        k1.extend(ellipsoids.iter().map(|e| e.center_dkl().k1));
-        k2.extend(ellipsoids.iter().map(|e| e.center_dkl().k2));
-        k3.extend(ellipsoids.iter().map(|e| e.center_dkl().k3));
-        a.extend(ellipsoids.iter().map(|e| e.axes().a));
-        b.extend(ellipsoids.iter().map(|e| e.axes().b));
-        c.extend(ellipsoids.iter().map(|e| e.axes().c));
-    }
 }
 
 /// One axis attempt's extrema over the tile: the per-pixel extrema vector
@@ -429,22 +395,30 @@ fn lane_axis_adjust(
     }
 }
 
-/// Reusable buffers for per-tile adjustment: the tile's gathered pixels
-/// and ellipsoids (filled by the caller) plus the working buffers (SoA
+/// Reusable buffers for per-tile adjustment: the working buffers (SoA
 /// pixel, ellipsoid and extrema lanes and the best-so-far pixel set) the
-/// adjustment cycles through internally.
+/// adjustment cycles through, plus AoS `pixels` / `ellipsoids` inputs for
+/// [`adjust_tile_with`].
+///
+/// The frame encoder never touches the AoS inputs: it gathers each tile
+/// straight into the pixel lanes and has the model build the ellipsoid
+/// lanes (see `PerceptualEncoder::adjust_frame_with_map_into`). They
+/// serve only callers that hold a tile as AoS slices — tests, references
+/// and `kernel_bench`.
 ///
 /// One scratch serves an unbounded stream of tiles: every buffer is
-/// cleared, never shrunk, so after the first few tiles the hot loop of
-/// [`adjust_tile_with`] performs no allocation at all. Per-frame encoding
-/// threads one scratch per *worker* through the tile fan-out (see
+/// cleared, never shrunk, so after the first few tiles the hot loop
+/// performs no allocation at all. Per-frame encoding threads one scratch
+/// per *worker* through the tile fan-out (see
 /// `pvc_parallel::parallel_chunk_map_init`), and streaming sessions keep
 /// one alive for their whole lifetime.
 #[derive(Debug, Clone, Default)]
 pub struct AdjustScratch {
-    /// The tile's pixels, gathered by the caller (row-major).
+    /// The tile's pixels for [`adjust_tile_with`], gathered by the caller
+    /// (row-major).
     pub pixels: Vec<LinearRgb>,
-    /// One discrimination ellipsoid per pixel, built by the caller.
+    /// One discrimination ellipsoid per pixel for [`adjust_tile_with`],
+    /// built by the caller.
     pub ellipsoids: Vec<DiscriminationEllipsoid>,
     lanes: AdjustLanes,
     best: Vec<LinearRgb>,
@@ -456,17 +430,9 @@ impl AdjustScratch {
         AdjustScratch::default()
     }
 
-    /// The winning adjusted pixels of the most recent
-    /// [`adjust_tile_with`] call.
+    /// The winning adjusted pixels of the most recent tile adjustment.
     pub fn best(&self) -> &[LinearRgb] {
         &self.best
-    }
-
-    /// Clears and refills `ellipsoids` with `f` applied to each gathered
-    /// pixel.
-    pub fn build_ellipsoids(&mut self, f: impl FnMut(LinearRgb) -> DiscriminationEllipsoid) {
-        self.ellipsoids.clear();
-        self.ellipsoids.extend(self.pixels.iter().copied().map(f));
     }
 }
 
@@ -585,27 +551,73 @@ pub fn adjust_tile_along_axis(
 /// Panics if `axes` is empty, or if the scratch's `pixels` and
 /// `ellipsoids` have different lengths or are empty.
 pub fn adjust_tile_with(scratch: &mut AdjustScratch, axes: &[RgbAxis]) -> TileAdjustOutcome {
+    // Transpose the tile's pixels and ellipsoids into SoA lanes once; every
+    // axis attempt reads them.
+    scratch.lanes.pixels.fill_from_pixels(&scratch.pixels);
+    scratch.lanes.ellipsoids.fill_from(&scratch.ellipsoids);
+    search_axes(&mut scratch.lanes, &mut scratch.best, axes)
+}
+
+/// Adjusts one tile of `frame` through `scratch` with the ellipsoids
+/// `model` gives it at `eccentricity_deg`: the frame encoder's per-tile
+/// step. The winning pixels land in [`AdjustScratch::best`].
+///
+/// The tile is gathered straight into the pixel lanes and the model
+/// writes the ellipsoid lanes directly
+/// ([`DiscriminationModel::ellipsoid_lanes`]), so no AoS copy of either
+/// exists. Bit-identical to gathering the tile with `tile_pixels_into`,
+/// building one `model.ellipsoid` per pixel and calling
+/// [`adjust_tile_with`]: the lanes hold the same values in the same order.
+///
+/// # Panics
+///
+/// Panics if `axes` is empty or the tile extends outside the frame.
+pub(crate) fn adjust_frame_tile<M: DiscriminationModel + ?Sized>(
+    scratch: &mut AdjustScratch,
+    frame: &LinearFrame,
+    tile: TileRect,
+    model: &M,
+    eccentricity_deg: f64,
+    axes: &[RgbAxis],
+) -> TileAdjustOutcome {
+    let lanes = &mut scratch.lanes;
+    frame.tile_lanes_into(tile, &mut lanes.pixels);
+    let pixels = &lanes.pixels;
+    model.ellipsoid_lanes(
+        &pixels.r,
+        &pixels.g,
+        &pixels.b,
+        eccentricity_deg,
+        &mut lanes.ellipsoids,
+    );
+    search_axes(lanes, &mut scratch.best, axes)
+}
+
+/// The axis search over a tile already held in `lanes.pixels` and
+/// `lanes.ellipsoids`: every candidate axis runs the lane kernels, the
+/// first minimal attempt wins, and its pixels — or the original pixels if
+/// no attempt beats them — are scattered into `best`.
+///
+/// # Panics
+///
+/// Panics if `axes` is empty, or if the pixel and ellipsoid lanes have
+/// different lengths or are empty.
+fn search_axes(
+    lanes: &mut AdjustLanes,
+    best: &mut Vec<LinearRgb>,
+    axes: &[RgbAxis],
+) -> TileAdjustOutcome {
     assert!(
         !axes.is_empty(),
         "at least one optimization axis is required"
     );
-    let AdjustScratch {
-        pixels,
-        ellipsoids,
-        lanes,
-        best,
-    } = scratch;
     assert_eq!(
-        pixels.len(),
-        ellipsoids.len(),
+        lanes.pixels.len(),
+        lanes.ellipsoids.len(),
         "one ellipsoid per pixel is required"
     );
-    assert!(!pixels.is_empty(), "cannot adjust an empty tile");
+    assert!(!lanes.pixels.is_empty(), "cannot adjust an empty tile");
 
-    // Transpose the tile's pixels and ellipsoids into SoA lanes once; every
-    // axis attempt reads them.
-    lanes.pixels.fill_from_pixels(pixels);
-    lanes.ellipsoids.fill_from(ellipsoids);
     let dkl_to_rgb = dkl_to_rgb_matrix();
     let original_cost = delta_bit_cost_lanes(&lanes.pixels);
     let mut chosen: Option<TileAdjustOutcome> = None;
@@ -647,13 +659,13 @@ pub fn adjust_tile_with(scratch: &mut AdjustScratch, axes: &[RgbAxis]) -> TileAd
     }
     let mut outcome = chosen.expect("axes is non-empty");
     // Never regress: if the adjustment does not help (e.g. everything was
-    // clamped by the gamut), keep the original pixels.
+    // clamped by the gamut), keep the original pixels. Scattering either
+    // lane set back to AoS copies values, so the original pixels come
+    // back bit for bit.
     if outcome.adjusted_cost >= original_cost {
-        best.clear();
-        best.extend_from_slice(pixels);
+        lanes.pixels.scatter_into(best);
         outcome.adjusted_cost = original_cost;
     } else {
-        // Scatter the winning lanes back to AoS once per tile.
         lanes.best.scatter_into(best);
     }
     outcome
@@ -844,7 +856,8 @@ mod tests {
             // The scratch arrives dirty from the previous tile on purpose.
             scratch.pixels.clear();
             scratch.pixels.extend_from_slice(&pixels);
-            scratch.build_ellipsoids(|p| SyntheticDiscriminationModel::default().ellipsoid(p, ecc));
+            scratch.ellipsoids.clear();
+            scratch.ellipsoids.extend_from_slice(&ellipsoids);
             let outcome = adjust_tile_with(&mut scratch, &RgbAxis::OPTIMIZED);
             assert_eq!(scratch.best(), expected.adjusted_pixels());
             assert_eq!(outcome.axis, expected.chosen.axis);
@@ -861,12 +874,11 @@ mod tests {
         // Near-zero ellipsoids leave no room to improve: the scratch path
         // must fall back to the original pixels, exactly like adjust_tile.
         let pixels = diverse_tile();
-        let model = SyntheticDiscriminationModel::default();
+        let ellipsoids = ellipsoids_for(&pixels, 0.01);
         let mut scratch = AdjustScratch::new();
         scratch.pixels.extend_from_slice(&pixels);
-        scratch.build_ellipsoids(|p| model.ellipsoid(p, 0.01));
+        scratch.ellipsoids.extend_from_slice(&ellipsoids);
         let outcome = adjust_tile_with(&mut scratch, &RgbAxis::OPTIMIZED);
-        let ellipsoids = ellipsoids_for(&pixels, 0.01);
         let expected = adjust_tile(&pixels, &ellipsoids, &RgbAxis::OPTIMIZED);
         assert_eq!(scratch.best(), expected.adjusted_pixels());
         assert_eq!(outcome.adjusted_cost, expected.chosen.delta_bit_cost());

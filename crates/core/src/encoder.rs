@@ -1,6 +1,6 @@
 //! The full-frame perceptual encoder.
 
-use crate::adjust::{adjust_tile_with, AdjustScratch, AdjustmentCase};
+use crate::adjust::{adjust_frame_tile, AdjustScratch, AdjustmentCase};
 use crate::config::EncoderConfig;
 use crate::stats::AdjustmentStats;
 use pvc_bdc::{
@@ -214,9 +214,9 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
         stats
     }
 
-    /// Gathers one (non-foveal) tile into the scratch, builds its
-    /// ellipsoids and adjusts it; the winning pixels land in
-    /// `scratch.best()`.
+    /// Gathers one (non-foveal) tile straight into the scratch's lanes,
+    /// builds its ellipsoid lanes and adjusts it; the winning pixels land
+    /// in `scratch.best()`.
     fn adjust_tile_into_scratch(
         &self,
         frame: &LinearFrame,
@@ -224,10 +224,8 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
         tile: TileRect,
         scratch: &mut AdjustScratch,
     ) -> AdjustmentCase {
-        frame.tile_pixels_into(tile, &mut scratch.pixels);
         let ecc = eccentricity.tile_eccentricity(tile);
-        scratch.build_ellipsoids(|p| self.model.ellipsoid(p, ecc));
-        adjust_tile_with(scratch, &self.config.axes).case
+        adjust_frame_tile(scratch, frame, tile, &self.model, ecc, &self.config.axes).case
     }
 
     /// Runs the complete pipeline of Fig. 7: adjust colors, gamma-encode to

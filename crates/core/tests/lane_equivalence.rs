@@ -12,14 +12,30 @@
 //! channels sit within a few ulps of sRGB8 rounding decisions or just
 //! outside the gamut (where the Δ-bit costing quantizes only each
 //! channel's extremes).
+//!
+//! A second pin covers the frame path: `adjust_frame_with_map_into`
+//! gathers each tile straight into lanes and has the model build the
+//! ellipsoid lanes, and must equal the per-tile AoS composition
+//! (`tile_pixels_into`, one `model.ellipsoid` per pixel, `adjust_tile_with`)
+//! bit for bit — any drift in gather order or in the ellipsoid lanes shows
+//! up there. That pin counts every NaN as one value: Rust leaves the sign
+//! and payload of an arithmetic NaN unspecified, the optimized lane build
+//! can pick a different one than the per-pixel call, and nothing
+//! downstream reads them (the sRGB quantizer maps every NaN to code 0).
 
 use proptest::prelude::*;
 use pvc_bdc::tile_codec::bits_for_range;
 use pvc_color::{
-    linear_to_srgb8, srgb_to_linear, DiscriminationModel, LinearRgb, RgbAxis,
-    SyntheticDiscriminationModel,
+    linear_to_srgb8, srgb_to_linear, DiscriminationModel, LinearRgb, RbfDiscriminationModel,
+    RgbAxis, SyntheticDiscriminationModel,
 };
-use pvc_core::{adjust_tile_along_axis, adjust_tile_with, AdjustScratch, AxisAdjustment};
+use pvc_core::{
+    adjust_tile_along_axis, adjust_tile_with, AdjustScratch, AdjustmentStats, AxisAdjustment,
+    EncoderConfig, PerceptualEncoder,
+};
+use pvc_fovea::{DisplayGeometry, EccentricityMap, GazePoint};
+use pvc_frame::{Dimensions, LinearFrame, TileGrid};
+use pvc_scenes::{SceneConfig, SceneId, SceneRenderer};
 
 /// Independent scalar Δ bit cost: per-channel sRGB8 range via the scalar
 /// quantizer, never the lane kernels under test.
@@ -193,4 +209,122 @@ proptest! {
     fn degenerate_ellipsoids_match(pixels in arb_clipped_tile(), ecc in 0.001..0.1f64) {
         assert_lane_matches_scalar(&pixels, ecc);
     }
+}
+
+/// The per-tile AoS composition the frame path must reproduce: gather each
+/// non-foveal tile with `tile_pixels_into`, build one ellipsoid per pixel
+/// with `model.ellipsoid`, adjust with `adjust_tile_with`, write back.
+fn aos_adjust_frame(
+    model: &dyn DiscriminationModel,
+    config: &EncoderConfig,
+    frame: &LinearFrame,
+    map: &EccentricityMap,
+) -> (LinearFrame, AdjustmentStats) {
+    let grid = TileGrid::new(frame.dimensions(), config.tile_size);
+    let mut out = frame.clone();
+    let mut stats = AdjustmentStats {
+        total_tiles: grid.tile_count(),
+        ..Default::default()
+    };
+    let mut scratch = AdjustScratch::new();
+    for tile in grid.tiles() {
+        if map.is_foveal_tile(tile) {
+            stats.foveal_tiles += 1;
+            continue;
+        }
+        let ecc = map.tile_eccentricity(tile);
+        frame.tile_pixels_into(tile, &mut scratch.pixels);
+        scratch.ellipsoids.clear();
+        let ellipsoids = scratch.pixels.iter().map(|&p| model.ellipsoid(p, ecc));
+        scratch.ellipsoids.extend(ellipsoids);
+        let outcome = adjust_tile_with(&mut scratch, &config.axes);
+        stats.record_case(outcome.case);
+        out.write_tile(tile, scratch.best());
+    }
+    (out, stats)
+}
+
+/// Every channel of every pixel as raw bits, with every NaN mapped to one
+/// canonical NaN.
+fn frame_bits(frame: &LinearFrame) -> Vec<[u64; 3]> {
+    let bits = |x: f64| {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    };
+    frame
+        .pixels()
+        .iter()
+        .map(|p| [bits(p.r), bits(p.g), bits(p.b)])
+        .collect()
+}
+
+/// A scene frame with a sprinkling of values outside the renderer's range:
+/// NaN, ±∞, ±0.0 and out-of-gamut channels.
+fn poisoned(mut frame: LinearFrame) -> LinearFrame {
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, -0.3, 1.7];
+    for (i, p) in frame.pixels_mut().iter_mut().enumerate().step_by(37) {
+        let v = specials[i % specials.len()];
+        match i % 3 {
+            0 => p.r = v,
+            1 => p.g = v,
+            _ => p.b = v,
+        }
+    }
+    frame
+}
+
+fn check_frame_path<M: DiscriminationModel + Clone + Sync>(model: M) {
+    let dims = Dimensions::new(70, 45);
+    let display = DisplayGeometry::quest2_like(dims);
+    let gazes = [GazePoint::center_of(dims), GazePoint::new(9.0, 38.0)];
+    // One scratch and one output frame across every run: the frame path
+    // must not depend on what a previous frame left in them.
+    let mut scratch = AdjustScratch::new();
+    let mut out = LinearFrame::filled(Dimensions::new(1, 1), LinearRgb::BLACK);
+    for scene in SceneId::ALL {
+        let rendered = SceneRenderer::new(scene, SceneConfig::new(dims)).render_linear(3);
+        for frame in [rendered.clone(), poisoned(rendered)] {
+            for tile_size in [4, 8] {
+                for threads in [1, 4] {
+                    let config = EncoderConfig::default()
+                        .with_tile_size(tile_size)
+                        .with_threads(threads);
+                    let encoder = PerceptualEncoder::new(model.clone(), config.clone());
+                    let grid = TileGrid::new(dims, tile_size);
+                    for gaze in gazes {
+                        let map = EccentricityMap::per_tile(&display, &grid, gaze, config.fovea);
+                        let stats = encoder.adjust_frame_with_map_into(
+                            &frame,
+                            &map,
+                            &mut scratch,
+                            &mut out,
+                        );
+                        let (want, want_stats) = aos_adjust_frame(&model, &config, &frame, &map);
+                        let label = format!(
+                            "{} scene {scene:?}, tile {tile_size}, threads {threads}, gaze {gaze:?}",
+                            model.name()
+                        );
+                        assert_eq!(stats, want_stats, "{label}");
+                        assert_eq!(out.dimensions(), want.dimensions(), "{label}");
+                        assert!(frame_bits(&out) == frame_bits(&want), "{label}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn synthetic_frame_path_matches_the_per_tile_aos_composition() {
+    check_frame_path(SyntheticDiscriminationModel::default());
+}
+
+#[test]
+fn rbf_frame_path_matches_the_per_tile_aos_composition() {
+    let reference = SyntheticDiscriminationModel::default();
+    let rbf = RbfDiscriminationModel::fit_to(&reference, Default::default()).expect("rbf fit");
+    check_frame_path(rbf);
 }
