@@ -1,17 +1,16 @@
 //! Byte-level decoding of BD bitstreams with reusable scratch.
 //!
-//! [`crate::BdEncodedFrame::from_bitstream`] materializes the full
-//! per-tile structure (a `Vec` of deltas per channel per tile) on every
-//! call. A streaming client only wants the pixels back, so [`BdDecoder`]
-//! parses the same bitstream layout and writes code values straight into a
-//! caller-owned [`SrgbFrame`] — once the frame's buffer has warmed up to
-//! the session's dimensions, the per-frame decode allocates nothing,
-//! mirroring the encoder's `encode_frame_into` discipline.
+//! [`BdDecoder`] is the one bytes → pixels entry point. It parses the
+//! layout [`crate::BdEncodedFrame::to_bitstream`] writes and stores code
+//! values straight into a caller-owned [`SrgbFrame`] — once the frame's
+//! buffer has warmed up to the session's dimensions, the per-frame decode
+//! allocates nothing, mirroring the encoder's `encode_frame_into`
+//! discipline.
 //!
-//! Both decode entry points validate the header *before* allocating:
-//! untrusted input gets to spend memory only in proportion to the bytes it
-//! actually supplies (plus the configured [`BdDecoder::with_max_pixels`]
-//! frame budget).
+//! Every decode validates the header *before* allocating: untrusted input
+//! gets to spend memory only in proportion to the bytes it actually
+//! supplies (plus the configured [`BdDecoder::with_max_pixels`] frame
+//! budget).
 
 use crate::bitstream::{BitReader, BitstreamError};
 use crate::temporal::{apply_temporal_frame, is_temporal_bitstream, FrameKind};
@@ -74,7 +73,7 @@ pub(crate) fn read_frame_header(
 }
 
 /// Checks that a channel's declared delta payload fits the remaining input
-/// before any of it is read (or, in `from_bitstream`, allocated).
+/// before any of it is read.
 pub(crate) fn check_delta_payload(
     r: &BitReader<'_>,
     pixel_count: usize,
@@ -293,7 +292,7 @@ fn decode_intra_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BdConfig, BdEncodedFrame, BdEncoder};
+    use crate::{BdConfig, BdEncoder};
     use rand::{Rng, SeedableRng};
 
     fn random_frame(width: u32, height: u32, seed: u64) -> SrgbFrame {
@@ -336,11 +335,8 @@ mod tests {
         let frame = random_frame(21, 14, 3);
         let encoded = BdEncoder::new(BdConfig::with_tile_size(4)).encode_frame(&frame);
         let bytes = encoded.to_bitstream();
-        let via_struct = BdEncodedFrame::from_bitstream(&bytes)
-            .expect("valid")
-            .decode();
         let via_decoder = BdDecoder::new().decode_bitstream(&bytes).expect("valid");
-        assert_eq!(via_decoder, via_struct);
+        assert_eq!(via_decoder, encoded.decode());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Whole-frame Base+Delta encoding.
 
-use crate::bitstream::{BitReader, BitWriter, BitstreamError};
+use crate::bitstream::BitWriter;
 use crate::stats::{CompressionStats, SizeBreakdown};
 use crate::tile_codec::{decode_tile, encode_tile, TileEncoding};
 use pvc_color::lanes::min_max_u8;
@@ -228,7 +228,7 @@ impl BdEncodedFrame {
     ///
     /// Layout: a fixed header (width, height, tile size — 16 bits each),
     /// followed by each tile's channels as `base (8) | delta_bits (4) |
-    /// deltas (delta_bits each)`.
+    /// deltas (delta_bits each)`. [`crate::BdDecoder`] reads it back.
     pub fn to_bitstream(&self) -> Vec<u8> {
         let mut w = BitWriter::new();
         self.write_bitstream(&mut w);
@@ -250,67 +250,6 @@ impl BdEncodedFrame {
                 }
             }
         }
-    }
-
-    /// Parses a bitstream produced by [`Self::to_bitstream`].
-    ///
-    /// Header geometry is validated against the remaining input length
-    /// (and the [`crate::decoder::DEFAULT_MAX_PIXELS`] frame budget)
-    /// *before* any tile storage is allocated, so a crafted header cannot
-    /// make this allocate more than a small multiple of the input length.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BitstreamError`] if the stream is truncated, its header
-    /// is invalid, or the declared geometry cannot fit in the input.
-    pub fn from_bitstream(bytes: &[u8]) -> Result<Self, BitstreamError> {
-        let mut r = BitReader::new(bytes);
-        let header = crate::decoder::read_frame_header(&mut r, crate::decoder::DEFAULT_MAX_PIXELS)?;
-        let dimensions = header.dimensions;
-        let tile_size = header.tile_size;
-        let grid = TileGrid::new(dimensions, tile_size);
-        let mut tiles = Vec::with_capacity(grid.tile_count());
-        for tile_rect in grid.tiles() {
-            let pixel_count = tile_rect.pixel_count();
-            let channels = [(); 3].map(|_| ());
-            let mut decoded = Vec::with_capacity(3);
-            for _ in channels {
-                let base = r.read_bits(8).map(|v| v as u8);
-                let base = base?;
-                let delta_bits = r.read_bits(4)? as u8;
-                if delta_bits > 8 {
-                    return Err(BitstreamError::InvalidHeader {
-                        field: "delta bit length",
-                    });
-                }
-                // A `delta_bits = 0` channel would consume zero input bits
-                // while pushing `pixel_count` deltas; the header validation
-                // above bounds `pixel_count` via the frame budget, and this
-                // check bounds every non-flat channel by the actual input.
-                crate::decoder::check_delta_payload(&r, pixel_count, delta_bits)?;
-                let mut deltas = Vec::with_capacity(pixel_count);
-                for _ in 0..pixel_count {
-                    deltas.push(r.read_bits(u32::from(delta_bits))? as u8);
-                }
-                decoded.push(crate::tile_codec::ChannelEncoding {
-                    base,
-                    delta_bits,
-                    deltas,
-                });
-            }
-            let b = decoded.pop().expect("three channels");
-            let g = decoded.pop().expect("three channels");
-            let rr = decoded.pop().expect("three channels");
-            tiles.push(TileEncoding {
-                channels: [rr, g, b],
-                pixel_count,
-            });
-        }
-        Ok(BdEncodedFrame {
-            dimensions,
-            tile_size,
-            tiles,
-        })
     }
 }
 
@@ -382,39 +321,12 @@ mod tests {
     }
 
     #[test]
-    fn bitstream_roundtrip() {
-        let frame = random_frame(24, 16, 5);
-        let encoded = BdEncoder::new(BdConfig::default()).encode_frame(&frame);
-        let bytes = encoded.to_bitstream();
-        let parsed = BdEncodedFrame::from_bitstream(&bytes).expect("valid stream");
-        assert_eq!(parsed, encoded);
-        assert_eq!(parsed.decode(), frame);
-    }
-
-    #[test]
     fn bitstream_size_matches_breakdown() {
         let frame = smooth_frame(32, 32);
         let encoded = BdEncoder::new(BdConfig::default()).encode_frame(&frame);
         let bytes = encoded.to_bitstream();
         let expected_bits = encoded.size_breakdown().total_bits() + 48; // + header
         assert_eq!(bytes.len() as u64, expected_bits.div_ceil(8));
-    }
-
-    #[test]
-    fn truncated_bitstream_is_rejected() {
-        let frame = random_frame(16, 16, 9);
-        let encoded = BdEncoder::new(BdConfig::default()).encode_frame(&frame);
-        let bytes = encoded.to_bitstream();
-        let err = BdEncodedFrame::from_bitstream(&bytes[..bytes.len() / 2]).unwrap_err();
-        assert!(matches!(
-            err,
-            BitstreamError::UnexpectedEnd { .. } | BitstreamError::InsufficientInput { .. }
-        ));
-    }
-
-    #[test]
-    fn empty_bitstream_is_rejected() {
-        assert!(BdEncodedFrame::from_bitstream(&[]).is_err());
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! * [`encode_tile`] / [`decode_tile`] — the per-tile, per-channel codec,
 //! * [`BdEncoder`] — whole-frame encoding with per-tile size accounting
 //!   (base vs. metadata vs. delta bits, the split of Fig. 11),
-//! * [`bitstream`] — an actual serialized bitstream with round-trip decode,
-//!   so compressed sizes are measured on real bits rather than estimated.
+//! * [`bitstream`] and [`BdDecoder`] — an actual serialized bitstream and
+//!   its one decoder, so compressed sizes are measured on real bits rather
+//!   than estimated.
 //!
 //! The codec is numerically lossless: `decode(encode(frame)) == frame`.
 //!

@@ -1,12 +1,12 @@
-//! Adversarial decoder suite: no byte string may panic the decoders or
-//! make them allocate unboundedly.
+//! Adversarial decoder suite: no byte string may panic the decoder or
+//! make it allocate unboundedly.
 //!
-//! The decode entry points (`BdEncodedFrame::from_bitstream` and
-//! `BdDecoder`) face *untrusted* input once a wire stream exists, so the
-//! contract is: return `Err` or a frame — never panic — and keep every
-//! allocation proportional to the input (plus the decoder's configured
-//! pixel budget, which is what bounds legitimate flat frames whose output
-//! is intrinsically much larger than their input).
+//! `BdDecoder` is the one bytes → pixels entry point, and it faces
+//! *untrusted* input once a wire stream exists, so the contract is: return
+//! `Err` or a frame — never panic — and keep every allocation proportional
+//! to the input (plus the decoder's configured pixel budget, which is what
+//! bounds legitimate flat frames whose output is intrinsically much larger
+//! than their input).
 //!
 //! Allocation is asserted with a *byte-counting* global allocator whose
 //! counter is thread-local (a const-initialized `Cell<u64>` has no drop
@@ -17,8 +17,8 @@
 
 use proptest::prelude::*;
 use pvc_bdc::{
-    encode_temporal_frame_into, is_temporal_bitstream, BdConfig, BdDecoder, BdEncodedFrame,
-    BdEncoder, BitWriter, BitstreamError, FrameKind,
+    encode_temporal_frame_into, is_temporal_bitstream, BdConfig, BdDecoder, BdEncoder, BitWriter,
+    BitstreamError, FrameKind,
 };
 use pvc_color::Srgb8;
 use pvc_frame::{Dimensions, SrgbFrame, SrgbTileLanes};
@@ -73,18 +73,6 @@ fn allowance(input_len: usize) -> u64 {
     128 * input_len as u64 + 64 * 1024
 }
 
-/// The width×height the input's header declares (0 when too short to
-/// have one), capped at the decoder budget — beyond the budget the
-/// decode dies in header validation without allocating.
-fn declared_pixels(bytes: &[u8]) -> u64 {
-    if bytes.len() < 4 {
-        return 0;
-    }
-    let width = u64::from(bytes[0]) << 8 | u64::from(bytes[1]);
-    let height = u64::from(bytes[2]) << 8 | u64::from(bytes[3]);
-    (width * height).min(pvc_bdc::DEFAULT_MAX_PIXELS)
-}
-
 fn random_frame(width: u32, height: u32, seed: u64) -> SrgbFrame {
     use rand::{Rng, SeedableRng};
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
@@ -101,22 +89,11 @@ fn valid_stream() -> Vec<u8> {
         .to_bitstream()
 }
 
-/// Decodes `bytes` through both entry points, asserting neither panics
-/// and both stay inside the allocation allowance.
-///
-/// `from_bitstream` materializes the declared frame's per-pixel deltas,
-/// and for a *valid* flat stream (`delta_bits = 0` everywhere) that
-/// output is legitimately much larger than the input — so its bound is
-/// the input allowance plus a per-declared-pixel term (itself capped by
-/// the decoder's pixel budget). The tight-budget `BdDecoder` bound below
-/// needs no such term: the budget alone caps its only allocation.
-fn decode_both_ways(bytes: &[u8]) {
-    let (result, allocated) = measured(|| BdEncodedFrame::from_bitstream(bytes).map(drop));
-    assert!(
-        allocated <= allowance(bytes.len()) + 8 * declared_pixels(bytes),
-        "from_bitstream allocated {allocated} bytes for {} input bytes ({result:?})",
-        bytes.len()
-    );
+/// Decodes untrusted `bytes` on a tight-budget decoder, asserting it
+/// does not panic and stays inside the allocation allowance: the budget
+/// caps the output frame, its only allocation that is not proportional
+/// to the input.
+fn decode_untrusted(bytes: &[u8]) {
     let decoder = BdDecoder::new().with_max_pixels(TIGHT_BUDGET);
     let (result, allocated) = measured(|| decoder.decode_bitstream(bytes).map(drop));
     assert!(
@@ -129,7 +106,7 @@ fn decode_both_ways(bytes: &[u8]) {
 /// The original decompression bomb: a 9-byte stream whose header declares
 /// 65535×65535 (~4.3 Gpx, ~12 GiB of pixels) and whose single-tile,
 /// `delta_bits = 0` channels used to be materialized without reading a
-/// single further input bit. Both decoders must reject it after only
+/// single further input bit. The decoder must reject it after only
 /// trivial allocation.
 #[test]
 fn delta_bits_zero_bomb_is_rejected_before_allocating() {
@@ -141,7 +118,7 @@ fn delta_bits_zero_bomb_is_rejected_before_allocating() {
     let bytes = w.finish();
     assert_eq!(bytes.len(), 9);
 
-    let (result, allocated) = measured(|| BdEncodedFrame::from_bitstream(&bytes).map(drop));
+    let (result, allocated) = measured(|| BdDecoder::new().decode_bitstream(&bytes).map(drop));
     assert!(matches!(
         result.unwrap_err(),
         BitstreamError::FrameTooLarge { .. }
@@ -150,18 +127,11 @@ fn delta_bits_zero_bomb_is_rejected_before_allocating() {
         allocated < 4096,
         "the bomb must die in header validation, allocated {allocated} bytes"
     );
-
-    let (result, allocated) = measured(|| BdDecoder::new().decode_bitstream(&bytes).map(drop));
-    assert!(matches!(
-        result.unwrap_err(),
-        BitstreamError::FrameTooLarge { .. }
-    ));
-    assert!(allocated < 4096, "allocated {allocated} bytes");
 }
 
 /// The tile-count variant of the bomb: dimensions inside the pixel budget
 /// but a 1×1 tile grid whose per-tile minimum cost (36 bits) already
-/// exceeds the input. Must be rejected before the tile vector exists.
+/// exceeds the input. Must be rejected before the output frame is sized.
 #[test]
 fn tile_count_bomb_is_rejected_before_allocating() {
     let mut w = BitWriter::new();
@@ -171,7 +141,7 @@ fn tile_count_bomb_is_rejected_before_allocating() {
     w.write_bits(0, 24);
     let bytes = w.finish();
 
-    let (result, allocated) = measured(|| BdEncodedFrame::from_bitstream(&bytes).map(drop));
+    let (result, allocated) = measured(|| BdDecoder::new().decode_bitstream(&bytes).map(drop));
     assert!(matches!(
         result.unwrap_err(),
         BitstreamError::InsufficientInput { .. }
@@ -185,17 +155,16 @@ fn tile_count_bomb_is_rejected_before_allocating() {
 #[test]
 fn every_truncation_of_a_valid_stream_is_rejected() {
     let bytes = valid_stream();
-    assert!(BdEncodedFrame::from_bitstream(&bytes).is_ok());
+    let decoder = BdDecoder::new().with_max_pixels(TIGHT_BUDGET);
+    assert!(decoder.decode_bitstream(&bytes).is_ok());
     for len in 0..bytes.len() {
         let truncated = &bytes[..len];
-        let (result, allocated) = measured(|| BdEncodedFrame::from_bitstream(truncated).map(drop));
+        let (result, allocated) = measured(|| decoder.decode_bitstream(truncated).map(drop));
         assert!(result.is_err(), "truncation to {len} bytes must fail");
         assert!(
             allocated <= allowance(len),
             "truncation to {len} allocated {allocated} bytes"
         );
-        let decoder = BdDecoder::new().with_max_pixels(TIGHT_BUDGET);
-        assert!(decoder.decode_bitstream(truncated).is_err());
     }
 }
 
@@ -207,12 +176,12 @@ fn every_header_bit_flip_is_survivable() {
     for bit in 0..48 {
         let mut flipped = bytes.clone();
         flipped[bit / 8] ^= 1 << (7 - bit % 8);
-        decode_both_ways(&flipped);
+        decode_untrusted(&flipped);
     }
 }
 
 /// Every single-bit flip in the body likewise: a flipped `delta_bits`
-/// field or delta payload may shift every later read, but the decoders
+/// field or delta payload may shift every later read, but the decoder
 /// must stay panic-free and allocation-bounded.
 #[test]
 fn every_body_bit_flip_is_survivable() {
@@ -220,27 +189,8 @@ fn every_body_bit_flip_is_survivable() {
     for bit in 48..bytes.len() * 8 {
         let mut flipped = bytes.clone();
         flipped[bit / 8] ^= 1 << (7 - bit % 8);
-        decode_both_ways(&flipped);
+        decode_untrusted(&flipped);
     }
-}
-
-/// A decoded-then-re-encoded frame survives a round trip even when the
-/// decode input was bit-flipped into a *different but valid* stream:
-/// whatever `from_bitstream` accepts, `decode()` must handle.
-#[test]
-fn accepted_streams_always_decode() {
-    let bytes = valid_stream();
-    let mut decoded_count = 0usize;
-    for bit in 0..bytes.len() * 8 {
-        let mut flipped = bytes.clone();
-        flipped[bit / 8] ^= 1 << (7 - bit % 8);
-        if let Ok(frame) = BdEncodedFrame::from_bitstream(&flipped) {
-            let _ = frame.decode();
-            decoded_count += 1;
-        }
-    }
-    // Plenty of body flips (e.g. inside delta payloads) still parse.
-    assert!(decoded_count > 0, "some flips must still parse");
 }
 
 // ---------------------------------------------------------------------
@@ -444,7 +394,7 @@ proptest! {
     fn random_bytes_never_panic_or_blow_up(
         bytes in proptest::collection::vec(any::<u8>(), 0..256)
     ) {
-        decode_both_ways(&bytes);
+        decode_untrusted(&bytes);
     }
 
     /// Arbitrary byte strings with a plausible header in front, so the
@@ -463,7 +413,7 @@ proptest! {
         w.write_bits(tile_size, 16);
         let mut bytes = w.finish();
         bytes.extend_from_slice(&body);
-        decode_both_ways(&bytes);
+        decode_untrusted(&bytes);
     }
 
     /// Arbitrary bytes behind a well-formed temporal header, decoded

@@ -2,18 +2,20 @@
 //!
 //! The stream benches measure the whole service; this binary isolates the
 //! SoA lane kernels the tile pipeline is built from — the per-tile axis
-//! adjustment, the sRGB quantizer in both directions, and the Base+Delta
-//! frame pack — and reports each one's pixel rate, so a regression in a
+//! adjustment, the ellipsoid build under both discrimination models, the
+//! sRGB quantizer in both directions, and the Base+Delta frame pack and
+//! decode — and reports each one's pixel rate, so a regression in a
 //! single kernel is visible without re-deriving it from end-to-end
 //! numbers. `--json PATH` writes the same numbers as a `BENCH_*.json`
 //! artifact for cross-PR trend tracking.
 
-use pvc_bdc::{BdConfig, BdEncoder, BitWriter};
+use pvc_bdc::{BdConfig, BdDecoder, BdEncoder, BitWriter};
 use pvc_bench::cli::{exit_with_usage, ArgSpec};
 use pvc_bench::json::{object, write_json, Json};
 use pvc_color::{
     linear_to_srgb8_slice, srgb8_to_linear_slice, DiscriminationEllipsoid, DiscriminationModel,
-    EllipsoidLanes, LinearRgb, RgbAxis, Srgb8, SyntheticDiscriminationModel,
+    EllipsoidLanes, LinearRgb, RbfConfig, RbfDiscriminationModel, RgbAxis, Srgb8,
+    SyntheticDiscriminationModel,
 };
 use pvc_core::{adjust_tile_with, AdjustScratch};
 use pvc_frame::{Dimensions, LinearTileLanes, SrgbFrame, SrgbTileLanes};
@@ -133,8 +135,12 @@ fn synthetic_tile(pixels_per_tile: usize, seed: &mut u64) -> Vec<LinearRgb> {
 /// Discrimination-ellipsoid construction as the frame encoder runs it:
 /// the model fills a tile's six ellipsoid lanes straight from its
 /// (pre-transposed) channel lanes.
-fn bench_ellipsoid_build(tiles: &[Vec<LinearRgb>], iters: u32) -> KernelResult {
-    let model = SyntheticDiscriminationModel::default();
+fn bench_ellipsoid_build(
+    kernel: &'static str,
+    model: &impl DiscriminationModel,
+    tiles: &[Vec<LinearRgb>],
+    iters: u32,
+) -> KernelResult {
     let pixels_per_iter: usize = tiles.iter().map(Vec::len).sum();
     let tile_lanes: Vec<LinearTileLanes> = tiles
         .iter()
@@ -154,7 +160,7 @@ fn bench_ellipsoid_build(tiles: &[Vec<LinearRgb>], iters: u32) -> KernelResult {
         sum
     });
     KernelResult {
-        kernel: "ellipsoid_build",
+        kernel,
         pixels: pixels_per_iter as u64 * u64::from(iters),
         wall_seconds,
     }
@@ -188,9 +194,8 @@ fn bench_adjust_axis(
     }
 }
 
-/// Whole-frame Base+Delta pack: SoA tile gather, per-channel range over
-/// lanes, serial bit-write.
-fn bench_bd_pack(dimensions: Dimensions, iters: u32, seed: &mut u64) -> KernelResult {
+/// The input frame of the `bd_pack` and `bd_decode` rows.
+fn bd_frame(dimensions: Dimensions, seed: &mut u64) -> SrgbFrame {
     let pixels: Vec<Srgb8> = (0..dimensions.pixel_count())
         .map(|_| {
             let v = splitmix64(seed);
@@ -199,27 +204,54 @@ fn bench_bd_pack(dimensions: Dimensions, iters: u32, seed: &mut u64) -> KernelRe
             Srgb8::new(base, base.wrapping_add(((v >> 8) & 3) as u8), base / 2)
         })
         .collect();
-    let frame = SrgbFrame::from_pixels(dimensions, pixels).expect("pixel count matches");
+    SrgbFrame::from_pixels(dimensions, pixels).expect("pixel count matches")
+}
+
+/// Whole-frame Base+Delta pack: SoA tile gather, per-channel range over
+/// lanes, serial bit-write.
+fn bench_bd_pack(frame: &SrgbFrame, iters: u32) -> KernelResult {
     let encoder = BdEncoder::new(BdConfig::default());
     let mut writer = BitWriter::new();
     let mut gather = SrgbTileLanes::new();
     let wall_seconds = time(iters, || {
-        let stats = encoder.encode_frame_into(&frame, &mut writer, &mut gather);
+        let stats = encoder.encode_frame_into(frame, &mut writer, &mut gather);
         stats.compressed_bits
     });
     KernelResult {
         kernel: "bd_pack",
-        pixels: dimensions.pixel_count() as u64 * u64::from(iters),
+        pixels: frame.dimensions().pixel_count() as u64 * u64::from(iters),
         wall_seconds,
     }
 }
 
-/// The whole stream-mode frame encode (adjust → gamma → BD pack) on one
-/// rendered scene frame, with the per-stage split from the encoder's own
-/// stage clocks. The end-to-end number the service benches see per shard,
-/// minus queueing and rendering.
+/// Whole-frame Base+Delta decode of the `bd_pack` frame's bitstream into a
+/// reused output frame, as the display side runs it.
+fn bench_bd_decode(frame: &SrgbFrame, iters: u32) -> KernelResult {
+    let bytes = BdEncoder::new(BdConfig::default())
+        .encode_frame(frame)
+        .to_bitstream();
+    let decoder = BdDecoder::new();
+    let mut out = SrgbFrame::filled(Dimensions::new(1, 1), Srgb8::default());
+    let wall_seconds = time(iters, || {
+        decoder
+            .decode_bitstream_into(&bytes, &mut out)
+            .expect("the encoder's bytes decode");
+        out.pixels()[0]
+    });
+    KernelResult {
+        kernel: "bd_decode",
+        pixels: frame.dimensions().pixel_count() as u64 * u64::from(iters),
+        wall_seconds,
+    }
+}
+
+/// The whole serving frame encode (adjust → gamma → BD pack, through
+/// `PerceptualEncoder::encode_frame_stream_into` with the default intra
+/// configuration) on one rendered scene frame, with the per-stage split
+/// from the encoder's own stage clocks. The end-to-end number the service
+/// benches see per shard, minus queueing and rendering.
 fn bench_stream_frame(dimensions: Dimensions, iters: u32) -> Vec<KernelResult> {
-    use pvc_core::{EncoderConfig, PerceptualEncoder, StreamScratch};
+    use pvc_core::{EncoderConfig, PerceptualEncoder, StreamScratch, TemporalHistory};
     use pvc_fovea::{DisplayGeometry, EccentricityMap, GazePoint};
     use pvc_frame::TileGrid;
     use pvc_scenes::{SceneConfig, SceneId, SceneRenderer};
@@ -236,11 +268,21 @@ fn bench_stream_frame(dimensions: Dimensions, iters: u32) -> Vec<KernelResult> {
         config.fovea,
     );
     let encoder = PerceptualEncoder::new(SyntheticDiscriminationModel::default(), config);
+    let mut history = TemporalHistory::new();
     let mut scratch = StreamScratch::new();
     let mut out = Vec::new();
+    let mut frame_index = 0u32;
     let mut stage_nanos = [0u64; 3];
     let wall_seconds = time(iters, || {
-        let stats = encoder.encode_frame_stream_with_map_into(&frame, &map, &mut scratch, &mut out);
+        let stats = encoder.encode_frame_stream_into(
+            &frame,
+            &map,
+            &mut history,
+            frame_index,
+            &mut scratch,
+            &mut out,
+        );
+        frame_index += 1;
         let timing = scratch.last_timing();
         stage_nanos[0] += timing.adjust;
         stage_nanos[1] += timing.gamma;
@@ -291,6 +333,8 @@ fn main() {
         .map(|_| synthetic_tile(pixels_per_tile, &mut seed))
         .collect();
     let model = SyntheticDiscriminationModel::default();
+    let rbf = RbfDiscriminationModel::fit_to(&model, RbfConfig::default())
+        .expect("the default RBF configuration fits");
     let ellipsoids: Vec<Vec<DiscriminationEllipsoid>> = tiles
         .iter()
         .map(|tile| tile.iter().map(|&p| model.ellipsoid(p, 12.0)).collect())
@@ -298,11 +342,16 @@ fn main() {
 
     let mut results = vec![
         bench_adjust_axis(&tiles, &ellipsoids, adjust_iters),
-        bench_ellipsoid_build(&tiles, adjust_iters),
+        bench_ellipsoid_build("ellipsoid_build", &model, &tiles, adjust_iters),
+        // The RBF network is ~100x slower per pixel; a tenth of the
+        // repetitions keeps its row from dominating the run.
+        bench_ellipsoid_build("ellipsoid_build_rbf", &rbf, &tiles, adjust_iters / 10),
         bench_srgb_encode(srgb_pixels, srgb_iters, &mut seed),
         bench_srgb_decode(srgb_pixels, srgb_iters, &mut seed),
-        bench_bd_pack(pack_dimensions, pack_iters, &mut seed),
     ];
+    let pack_frame = bd_frame(pack_dimensions, &mut seed);
+    results.push(bench_bd_pack(&pack_frame, pack_iters));
+    results.push(bench_bd_decode(&pack_frame, pack_iters));
     results.extend(bench_stream_frame(
         Dimensions::new(96, 96),
         adjust_iters * 4,
@@ -313,12 +362,12 @@ fn main() {
         if quick { "quick" } else { "full" }
     );
     println!(
-        "{:<16} {:>10} {:>10} {:>10}",
+        "{:<20} {:>10} {:>10} {:>10}",
         "kernel", "Mpx", "secs", "Mpx/s"
     );
     for r in &results {
         println!(
-            "{:<16} {:>10.2} {:>10.3} {:>10.2}",
+            "{:<20} {:>10.2} {:>10.3} {:>10.2}",
             r.kernel,
             r.pixels as f64 / 1e6,
             r.wall_seconds,

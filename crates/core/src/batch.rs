@@ -17,8 +17,7 @@
 
 use crate::config::EncoderConfig;
 use crate::encoder::{
-    PerceptualEncodeResult, PerceptualEncoder, StreamEncodeResult, StreamFrameStats, StreamScratch,
-    TemporalHistory,
+    PerceptualEncodeResult, PerceptualEncoder, StreamFrameStats, StreamScratch, TemporalHistory,
 };
 use pvc_color::DiscriminationModel;
 use pvc_fovea::{DisplayGeometry, EccentricityMap, GazePoint};
@@ -91,8 +90,8 @@ pub struct BatchEncoder<M> {
     capacity: usize,
     hits: u64,
     misses: u64,
-    /// GOP state for temporal coding: the previous adjusted frame. Dead
-    /// weight (one placeholder frame) when temporal coding is disabled.
+    /// GOP state for temporal coding: the previous adjusted frame. Stays
+    /// an untouched placeholder when temporal coding is disabled.
     history: TemporalHistory,
     /// Absolute index of the next frame fed through
     /// [`Self::encode_frame_stream_into`]; drives the keyframe schedule.
@@ -192,34 +191,12 @@ impl<M: DiscriminationModel + Sync> BatchEncoder<M> {
         self.encoder.encode_frame_with_map(frame, &map)
     }
 
-    /// Stream-mode encode of the next frame: like [`Self::encode`] but
-    /// produces only the serving payload ([`StreamEncodeResult`]), skipping
-    /// the gamma-encode of the original frame and any baseline BD material.
-    ///
-    /// This is what a multi-session streaming service calls per frame; the
-    /// `encoded` bitstream is bit-identical to [`Self::encode`]'s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame and display dimensions differ.
-    pub fn encode_frame_stream(
-        &mut self,
-        frame: &LinearFrame,
-        gaze: GazePoint,
-    ) -> StreamEncodeResult {
-        assert_eq!(
-            frame.dimensions(),
-            self.display.dimensions(),
-            "frame and display dimensions must match"
-        );
-        let map = self.map_for(gaze);
-        self.encoder.encode_frame_stream_with_map(frame, &map)
-    }
-
-    /// Stream-mode encode through caller-provided scratch: like
-    /// [`Self::encode_frame_stream`], but the BD bitstream is packed
-    /// straight into `out` (bit-identical to the `encoded.to_bitstream()`
-    /// of the other paths) and every intermediate lives in `scratch`.
+    /// Serving encode of the next frame: the BD payload is packed straight
+    /// into `out` and every intermediate lives in `scratch`. An intra
+    /// frame's bytes are bit-identical to [`Self::encode`]'s
+    /// `encoded.to_bitstream()`; with temporal coding enabled the session's
+    /// own history and frame counter drive the keyframe schedule (see
+    /// [`PerceptualEncoder::encode_frame_stream_into`]).
     ///
     /// On a cache-hitting gaze this is the allocation-free serving path: a
     /// session that keeps one [`StreamScratch`] and one output buffer
@@ -244,30 +221,14 @@ impl<M: DiscriminationModel + Sync> BatchEncoder<M> {
         let map = self.map_for(gaze);
         let frame_index = self.next_frame_index;
         self.next_frame_index = self.next_frame_index.wrapping_add(1);
-        if self.encoder.config().temporal.enabled {
-            self.encoder.encode_frame_stream_temporal_into(
-                frame,
-                &map,
-                &mut self.history,
-                frame_index,
-                scratch,
-                out,
-            )
-        } else {
-            self.encoder
-                .encode_frame_stream_with_map_into(frame, &map, scratch, out)
-        }
-    }
-
-    /// Encodes a whole gaze-stream, returning one result per frame.
-    pub fn encode_stream<'a, I>(&mut self, stream: I) -> Vec<PerceptualEncodeResult>
-    where
-        I: IntoIterator<Item = (&'a LinearFrame, GazePoint)>,
-    {
-        stream
-            .into_iter()
-            .map(|(frame, gaze)| self.encode(frame, gaze))
-            .collect()
+        self.encoder.encode_frame_stream_into(
+            frame,
+            &map,
+            &mut self.history,
+            frame_index,
+            scratch,
+            out,
+        )
     }
 
     /// Returns the eccentricity map for `gaze`, building and caching it on
@@ -431,32 +392,10 @@ mod tests {
     }
 
     #[test]
-    fn stream_mode_encode_matches_the_full_session_encode() {
+    fn serving_session_is_bit_identical_to_the_figure_session() {
         let dims = Dimensions::new(96, 64);
-        let mut full = session(dims);
-        let mut stream = session(dims);
-        let gazes = [
-            GazePoint::center_of(dims),
-            GazePoint::new(10.0, 12.0),
-            GazePoint::center_of(dims),
-        ];
-        for (frame, gaze) in frames(dims, 3).iter().zip(gazes) {
-            let expected = full.encode(frame, gaze);
-            let got = stream.encode_frame_stream(frame, gaze);
-            assert_eq!(got.encoded, expected.encoded);
-            assert_eq!(got.adjusted, expected.adjusted);
-            assert_eq!(got.stats, expected.stats);
-        }
-        // Both paths drive the same cache.
-        assert_eq!(stream.cache_stats(), full.cache_stats());
-        assert_eq!(stream.cache_stats().hits, 1);
-    }
-
-    #[test]
-    fn scratch_session_stream_matches_the_allocating_session_stream() {
-        let dims = Dimensions::new(96, 64);
-        let mut allocating = session(dims);
-        let mut scratch_session = session(dims);
+        let mut figure = session(dims);
+        let mut serving = session(dims);
         let mut scratch = StreamScratch::new();
         let mut bitstream = Vec::new();
         let gazes = [
@@ -465,30 +404,15 @@ mod tests {
             GazePoint::center_of(dims),
         ];
         for (frame, gaze) in frames(dims, 3).iter().zip(gazes) {
-            let expected = allocating.encode_frame_stream(frame, gaze);
-            let stats =
-                scratch_session.encode_frame_stream_into(frame, gaze, &mut scratch, &mut bitstream);
+            let expected = figure.encode(frame, gaze);
+            let stats = serving.encode_frame_stream_into(frame, gaze, &mut scratch, &mut bitstream);
             assert_eq!(bitstream, expected.encoded.to_bitstream());
             assert_eq!(stats.adjustment, expected.stats);
             assert_eq!(stats.compression, expected.our_stats());
         }
         // Both paths drive the same gaze cache.
-        assert_eq!(scratch_session.cache_stats(), allocating.cache_stats());
-        assert_eq!(scratch_session.cache_stats().hits, 1);
-    }
-
-    #[test]
-    fn encode_stream_returns_one_result_per_frame() {
-        let dims = Dimensions::new(64, 64);
-        let mut batch = session(dims);
-        let rendered = frames(dims, 3);
-        let gaze = GazePoint::center_of(dims);
-        let stream: Vec<_> = rendered.iter().map(|f| (f, gaze)).collect();
-        let results = batch.encode_stream(stream);
-        assert_eq!(results.len(), 3);
-        for result in results {
-            assert!(result.our_stats().compressed_bits <= result.bd_stats().compressed_bits);
-        }
+        assert_eq!(serving.cache_stats(), figure.cache_stats());
+        assert_eq!(serving.cache_stats().hits, 1);
     }
 
     #[test]
@@ -510,7 +434,7 @@ mod tests {
         let gaze = GazePoint::new(10.0, 12.0);
         let mut saved = 0i64;
         for (index, frame) in frames(dims, 7).iter().enumerate() {
-            let expected = intra.encode_frame_stream(frame, gaze);
+            let expected = intra.encode(frame, gaze);
             let stats = temporal.encode_frame_stream_into(frame, gaze, &mut scratch, &mut payload);
             let expected_key = index % 3 == 0;
             assert_eq!(stats.temporal.keyframe, expected_key, "frame {index}");
@@ -551,21 +475,31 @@ mod tests {
         use crate::config::TemporalConfig;
         let dims = Dimensions::new(64, 64);
         let display = DisplayGeometry::quest2_like(dims);
-        let mut temporal = BatchEncoder::new(
-            SyntheticDiscriminationModel::default(),
-            EncoderConfig::default().with_temporal(TemporalConfig::every(1)),
-            display,
-        );
-        let mut intra = session(dims);
-        let mut scratch = StreamScratch::new();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        let gaze = GazePoint::center_of(dims);
-        for frame in frames(dims, 4) {
-            let t = temporal.encode_frame_stream_into(&frame, gaze, &mut scratch, &mut a);
-            let i = intra.encode_frame_stream_into(&frame, gaze, &mut scratch, &mut b);
-            assert_eq!(a, b);
-            assert_eq!(t.compression, i.compression);
-            assert!(t.temporal.keyframe);
+        // An interval of 1 keys every frame; a disabled temporal config
+        // keys every frame whatever its interval says.
+        for temporal_config in [
+            TemporalConfig::every(1),
+            TemporalConfig {
+                enabled: false,
+                keyframe_interval: 5,
+            },
+        ] {
+            let mut temporal = BatchEncoder::new(
+                SyntheticDiscriminationModel::default(),
+                EncoderConfig::default().with_temporal(temporal_config),
+                display,
+            );
+            let mut intra = session(dims);
+            let mut scratch = StreamScratch::new();
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let gaze = GazePoint::center_of(dims);
+            for (index, frame) in frames(dims, 7).iter().enumerate() {
+                let t = temporal.encode_frame_stream_into(frame, gaze, &mut scratch, &mut a);
+                let i = intra.encode_frame_stream_into(frame, gaze, &mut scratch, &mut b);
+                assert_eq!(a, b, "{temporal_config:?} frame {index}");
+                assert_eq!(t, i, "{temporal_config:?} frame {index}");
+                assert!(t.temporal.keyframe);
+            }
         }
     }
 

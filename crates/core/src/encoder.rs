@@ -263,118 +263,36 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
         self.bd_encode(frame, adjusted_linear, stats)
     }
 
-    /// Stream-mode encode: adjust colors, gamma-encode and BD-compress the
-    /// adjusted frame — and nothing else.
+    /// The serving encode: adjusts the frame, gamma-encodes it and packs
+    /// the BD payload straight into `out`, returning only the per-frame
+    /// statistics. The payload is either an intra keyframe — bit-identical
+    /// to [`Self::encode_frame_with_map`]'s `encoded.to_bitstream()` — or,
+    /// with temporal coding enabled, a predicted frame of per-tile Skip /
+    /// Delta / Intra records against `history`.
     ///
-    /// A serving path never consumes the baseline BD encoding of the
-    /// unadjusted frame (that exists to regenerate the paper's comparison
-    /// figures), nor the gamma-encoded original. Skipping both halves the
-    /// BD work per streamed frame. The `encoded` bitstream is bit-identical
-    /// to [`Self::encode_frame`]'s on the same inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame and display dimensions differ.
-    pub fn encode_frame_stream(
-        &self,
-        frame: &LinearFrame,
-        display: &DisplayGeometry,
-        gaze: GazePoint,
-    ) -> StreamEncodeResult {
-        let (adjusted_linear, stats) = self.adjust_frame(frame, display, gaze);
-        self.bd_encode_stream(adjusted_linear, stats)
-    }
-
-    /// Like [`Self::encode_frame_stream`], but reuses a prebuilt
-    /// eccentricity map (see [`Self::adjust_frame_with_map`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map does not match the frame and encoder configuration.
-    pub fn encode_frame_stream_with_map(
-        &self,
-        frame: &LinearFrame,
-        eccentricity: &EccentricityMap,
-    ) -> StreamEncodeResult {
-        let (adjusted_linear, stats) = self.adjust_frame_with_map(frame, eccentricity);
-        self.bd_encode_stream(adjusted_linear, stats)
-    }
-
-    /// Stream-mode encode through caller-provided scratch: adjusts the
-    /// frame, gamma-encodes it and packs the BD bitstream straight into
-    /// `out` — bit-identical to
-    /// [`Self::encode_frame_stream_with_map`]'s `encoded.to_bitstream()`
-    /// — returning only the per-frame statistics.
+    /// A frame is a keyframe when temporal coding is disabled, when its
+    /// absolute `frame_index` is a multiple of
+    /// `TemporalConfig::keyframe_interval`, when `history` is invalid
+    /// (fresh encoder, or an explicit reset at a handoff boundary) or when
+    /// the frame size changed. With temporal coding enabled, `history` is
+    /// updated to this frame's adjusted pixels on return, so feeding
+    /// consecutive frame indices reproduces exactly the stream a decoder
+    /// can follow; intra-only sessions leave it untouched and pay no frame
+    /// copy for it.
     ///
     /// Every intermediate (adjusted frame, sRGB frame, tile buffers, bit
     /// packing) lives in `scratch`, so once the buffers are warm a
     /// sequential encoder performs **zero** steady-state allocation per
     /// frame. This is the per-frame hot path of a streaming session
     /// (`pvc_stream` shard workers call it through
-    /// `BatchEncoder::encode_frame_stream_into`).
+    /// `BatchEncoder::encode_frame_stream_into`). Temporal packing is
+    /// sequential regardless of `EncoderConfig::threads`, so the emitted
+    /// bytes are thread-invariant either way.
     ///
     /// # Panics
     ///
     /// Panics if the map does not match the frame and encoder configuration.
-    pub fn encode_frame_stream_with_map_into(
-        &self,
-        frame: &LinearFrame,
-        eccentricity: &EccentricityMap,
-        scratch: &mut StreamScratch,
-        out: &mut Vec<u8>,
-    ) -> StreamFrameStats {
-        let started = Instant::now();
-        let adjustment = self.adjust_frame_with_map_into(
-            frame,
-            eccentricity,
-            &mut scratch.adjust,
-            &mut scratch.adjusted,
-        );
-        let after_adjust = Instant::now();
-        scratch.adjusted.to_srgb_into(&mut scratch.srgb);
-        let after_gamma = Instant::now();
-        let compression =
-            self.bd
-                .encode_frame_into(&scratch.srgb, &mut scratch.writer, &mut scratch.gather);
-        out.clear();
-        out.extend_from_slice(scratch.writer.as_bytes());
-        // Reading the clock is a vDSO call, not an allocation, so the
-        // sub-stage timing rides along without disturbing the zero-alloc
-        // pin on this path.
-        scratch.timing = StageNanos {
-            adjust: after_adjust.duration_since(started).as_nanos() as u64,
-            gamma: after_gamma.duration_since(after_adjust).as_nanos() as u64,
-            bd_encode: after_gamma.elapsed().as_nanos() as u64,
-        };
-        let bits = scratch.writer.bits_written();
-        StreamFrameStats {
-            adjustment,
-            compression,
-            temporal: intra_frame_stats(adjustment.total_tiles as u64, bits),
-        }
-    }
-
-    /// Temporal stream-mode encode: adjust, gamma-encode and emit either
-    /// an intra keyframe (the exact bitstream of
-    /// [`Self::encode_frame_stream_with_map_into`]) or a predicted frame
-    /// of per-tile Skip / Delta / Intra records against `history`.
-    ///
-    /// A frame is a keyframe when its absolute `frame_index` is a multiple
-    /// of `TemporalConfig::keyframe_interval`, when `history` is invalid
-    /// (fresh encoder, or an explicit reset at a handoff boundary) or when
-    /// the frame size changed. `history` is updated to this frame's
-    /// adjusted pixels on return, so feeding consecutive frame indices
-    /// reproduces exactly the stream a decoder can follow.
-    ///
-    /// Temporal packing is sequential regardless of
-    /// `EncoderConfig::threads`: keyframes already serialize identically
-    /// across thread counts and predicted frames are packed on one thread,
-    /// so the emitted bytes are thread-invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map does not match the frame and encoder configuration.
-    pub fn encode_frame_stream_temporal_into(
+    pub fn encode_frame_stream_into(
         &self,
         frame: &LinearFrame,
         eccentricity: &EccentricityMap,
@@ -393,11 +311,12 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
         let after_adjust = Instant::now();
         scratch.adjusted.to_srgb_into(&mut scratch.srgb);
         let after_gamma = Instant::now();
-        let interval = self.config.temporal.keyframe_interval.max(1);
-        let keyframe = frame_index % interval == 0
+        let temporal = self.config.temporal;
+        let keyframe = !temporal.enabled
+            || frame_index % temporal.keyframe_interval.max(1) == 0
             || !history.valid
             || history.prev.dimensions() != scratch.srgb.dimensions();
-        let (temporal, compression) = if keyframe {
+        let (temporal_stats, compression) = if keyframe {
             let compression =
                 self.bd
                     .encode_frame_into(&scratch.srgb, &mut scratch.writer, &mut scratch.gather);
@@ -416,10 +335,15 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
                 &mut scratch.reference_gather,
             )
         };
-        history.prev.clone_from(&scratch.srgb);
-        history.valid = true;
+        if temporal.enabled {
+            history.prev.clone_from(&scratch.srgb);
+            history.valid = true;
+        }
         out.clear();
         out.extend_from_slice(scratch.writer.as_bytes());
+        // Reading the clock is a vDSO call, not an allocation, so the
+        // sub-stage timing rides along without disturbing the zero-alloc
+        // pin on this path.
         scratch.timing = StageNanos {
             adjust: after_adjust.duration_since(started).as_nanos() as u64,
             gamma: after_gamma.duration_since(after_adjust).as_nanos() as u64,
@@ -428,7 +352,7 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
         StreamFrameStats {
             adjustment,
             compression,
-            temporal,
+            temporal: temporal_stats,
         }
     }
 
@@ -450,24 +374,10 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
             stats,
         }
     }
-
-    fn bd_encode_stream(
-        &self,
-        adjusted_linear: LinearFrame,
-        stats: AdjustmentStats,
-    ) -> StreamEncodeResult {
-        let adjusted = adjusted_linear.to_srgb();
-        let encoded = self.bd.encode_frame(&adjusted);
-        StreamEncodeResult {
-            adjusted,
-            encoded,
-            stats,
-        }
-    }
 }
 
-/// Reusable per-session state for the scratch stream-encode path
-/// ([`PerceptualEncoder::encode_frame_stream_with_map_into`] /
+/// Reusable per-session state for the serving encode path
+/// ([`PerceptualEncoder::encode_frame_stream_into`] /
 /// `BatchEncoder::encode_frame_stream_into`): the tile adjustment
 /// buffers, the adjusted frame in both color spaces, the BD tile gather
 /// buffer and the bitstream writer.
@@ -513,7 +423,7 @@ impl StreamScratch {
     }
 
     /// Wall-clock breakdown of the most recent
-    /// [`PerceptualEncoder::encode_frame_stream_with_map_into`] call
+    /// [`PerceptualEncoder::encode_frame_stream_into`] call
     /// through this scratch (all zeros before the first encode). Lives on
     /// the scratch rather than in [`StreamFrameStats`] so the stats stay a
     /// pure function of the pixels — tests compare them across runs.
@@ -687,31 +597,6 @@ impl PerceptualEncodeResult {
     }
 }
 
-/// The output of the stream-mode encode path: only what a serving pipeline
-/// ships — the adjusted frame and its BD bitstream — with no baseline
-/// comparison material at all.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StreamEncodeResult {
-    /// The perceptually adjusted frame, gamma-encoded.
-    pub adjusted: SrgbFrame,
-    /// BD encoding of the adjusted frame — the bits that go on the wire.
-    pub encoded: BdEncodedFrame,
-    /// Per-tile adjustment statistics.
-    pub stats: AdjustmentStats,
-}
-
-impl StreamEncodeResult {
-    /// Compression statistics of the perceptual encoding.
-    pub fn our_stats(&self) -> CompressionStats {
-        self.encoded.stats()
-    }
-
-    /// Traffic reduction over uncompressed frames, percent.
-    pub fn reduction_over_uncompressed_percent(&self) -> f64 {
-        self.our_stats().bandwidth_reduction_percent()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -865,27 +750,24 @@ mod tests {
         assert_eq!(sequential.stats, parallel.stats);
     }
 
-    #[test]
-    fn stream_mode_matches_the_full_encode_bit_for_bit() {
-        for scene in [SceneId::Office, SceneId::Dumbo] {
-            let frame = test_frame(scene);
-            let display = DisplayGeometry::quest2_like(frame.dimensions());
-            let gaze = GazePoint::new(40.0, 30.0);
-            let enc = encoder();
-            let full = enc.encode_frame(&frame, &display, gaze);
-            let stream = enc.encode_frame_stream(&frame, &display, gaze);
-            assert_eq!(stream.encoded, full.encoded);
-            assert_eq!(stream.adjusted, full.adjusted);
-            assert_eq!(stream.stats, full.stats);
-            assert_eq!(
-                stream.our_stats().compressed_bits,
-                full.our_stats().compressed_bits
-            );
-        }
+    /// Runs the serving path once, intra-only, on a fresh history.
+    fn serve(
+        enc: &PerceptualEncoder<SyntheticDiscriminationModel>,
+        frame: &LinearFrame,
+        display: &DisplayGeometry,
+        gaze: GazePoint,
+        scratch: &mut StreamScratch,
+        out: &mut Vec<u8>,
+    ) -> StreamFrameStats {
+        let grid = TileGrid::new(frame.dimensions(), enc.config().tile_size);
+        let map = EccentricityMap::per_tile(display, &grid, gaze, enc.config().fovea);
+        let mut history = TemporalHistory::new();
+        enc.encode_frame_stream_into(frame, &map, &mut history, 0, scratch, out)
     }
 
     #[test]
-    fn scratch_stream_encode_is_bit_identical_to_the_allocating_path() {
+    fn serving_encode_is_bit_identical_to_the_figure_path() {
+        let enc = encoder();
         let mut scratch = StreamScratch::new();
         let mut bitstream = Vec::new();
         // One scratch across scenes and gazes, arriving dirty each time.
@@ -896,15 +778,12 @@ mod tests {
         ] {
             let frame = test_frame(scene);
             let display = DisplayGeometry::quest2_like(frame.dimensions());
-            let enc = encoder();
-            let expected = enc.encode_frame_stream(&frame, &display, gaze);
-            let grid = TileGrid::new(frame.dimensions(), enc.config().tile_size);
-            let map = EccentricityMap::per_tile(&display, &grid, gaze, enc.config().fovea);
-            let stats =
-                enc.encode_frame_stream_with_map_into(&frame, &map, &mut scratch, &mut bitstream);
+            let expected = enc.encode_frame(&frame, &display, gaze);
+            let stats = serve(&enc, &frame, &display, gaze, &mut scratch, &mut bitstream);
             assert_eq!(bitstream, expected.encoded.to_bitstream());
             assert_eq!(stats.adjustment, expected.stats);
             assert_eq!(stats.compression, expected.our_stats());
+            assert!(stats.temporal.keyframe);
         }
     }
 
@@ -920,12 +799,38 @@ mod tests {
                 SyntheticDiscriminationModel::default(),
                 EncoderConfig::default().with_threads(threads),
             );
-            let grid = TileGrid::new(frame.dimensions(), enc.config().tile_size);
-            let map = EccentricityMap::per_tile(&display, &grid, gaze, enc.config().fovea);
-            let mut scratch = StreamScratch::new();
-            enc.encode_frame_stream_with_map_into(&frame, &map, &mut scratch, out);
+            serve(&enc, &frame, &display, gaze, &mut StreamScratch::new(), out);
         }
         assert_eq!(reference, parallel);
+    }
+
+    #[test]
+    fn intra_only_sessions_never_fill_the_history() {
+        // With temporal coding off every frame is a keyframe, whatever its
+        // index, and the history is never written: the intra serving path
+        // pays no reference-frame copy.
+        let frame = test_frame(SceneId::Office);
+        let display = DisplayGeometry::quest2_like(frame.dimensions());
+        let gaze = GazePoint::center_of(frame.dimensions());
+        let enc = encoder();
+        assert!(!enc.config().temporal.enabled);
+        let grid = TileGrid::new(frame.dimensions(), enc.config().tile_size);
+        let map = EccentricityMap::per_tile(&display, &grid, gaze, enc.config().fovea);
+        let mut history = TemporalHistory::new();
+        let mut scratch = StreamScratch::new();
+        let mut out = Vec::new();
+        for index in 0..5 {
+            let stats = enc.encode_frame_stream_into(
+                &frame,
+                &map,
+                &mut history,
+                index,
+                &mut scratch,
+                &mut out,
+            );
+            assert!(stats.temporal.keyframe, "frame {index}");
+            assert!(!history.is_valid(), "frame {index}");
+        }
     }
 
     #[test]

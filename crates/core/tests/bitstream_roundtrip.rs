@@ -1,23 +1,23 @@
 //! End-to-end bitstream round-trip pin for the perceptual encoder:
 //!
 //! ```text
-//! encode_frame_stream → to_bitstream → from_bitstream → decode
-//!                                            == adjusted frame
+//! encode_frame_stream_into → bytes → BdDecoder == adjusted frame
 //! ```
 //!
-//! BD is numerically lossless, so the bytes a streaming worker ships must
-//! reconstruct the *adjusted* frame bit-for-bit — across arbitrary
-//! dimensions (including non-tile-multiple edges), every resolution
-//! tier's effective tile size (4 for the Quest-class tiers, 8 for the
-//! Vision-class override), and both serial and 4-thread encoders. The
-//! scratch-based `BdDecoder` path is pinned against the same reference.
+//! The serving path's bytes must equal the figure path's
+//! (`encode_frame(..).encoded.to_bitstream()`), and because BD is
+//! numerically lossless they must reconstruct the *adjusted* frame
+//! bit-for-bit — across arbitrary dimensions (including non-tile-multiple
+//! edges), every resolution tier's effective tile size (4 for the
+//! Quest-class tiers, 8 for the Vision-class override), and both serial
+//! and 4-thread encoders.
 
 use proptest::prelude::*;
-use pvc_bdc::{BdDecoder, BdEncodedFrame};
+use pvc_bdc::BdDecoder;
 use pvc_color::{Srgb8, SyntheticDiscriminationModel};
-use pvc_core::{EncoderConfig, PerceptualEncoder};
-use pvc_fovea::{DisplayGeometry, GazePoint};
-use pvc_frame::{Dimensions, SrgbFrame};
+use pvc_core::{EncoderConfig, PerceptualEncoder, StreamScratch, TemporalHistory};
+use pvc_fovea::{DisplayGeometry, EccentricityMap, GazePoint};
+use pvc_frame::{Dimensions, SrgbFrame, TileGrid};
 use pvc_scenes::{SceneConfig, SceneId, SceneRenderer};
 
 /// The effective per-tier encoder tile sizes: Quest2 and QuestPro use the
@@ -30,35 +30,42 @@ fn roundtrip(width: u32, height: u32, tile_size: u32, threads: usize, seed: u64)
         SceneConfig::new(dims).with_seed(seed)
     });
     let frame = renderer.render_linear((seed % 7) as u32);
-    let encoder = PerceptualEncoder::new(
-        SyntheticDiscriminationModel::default(),
-        EncoderConfig::default()
-            .with_tile_size(tile_size)
-            .with_threads(threads),
-    );
+    let config = EncoderConfig::default()
+        .with_tile_size(tile_size)
+        .with_threads(threads);
+    let encoder = PerceptualEncoder::new(SyntheticDiscriminationModel::default(), config);
     let display = DisplayGeometry::quest2_like(dims);
     let gaze = GazePoint::new(
         (seed % u64::from(width)) as f64,
         (seed % u64::from(height)) as f64,
     );
-    let result = encoder.encode_frame_stream(&frame, &display, gaze);
+    let figure = encoder.encode_frame(&frame, &display, gaze);
 
-    let bytes = result.encoded.to_bitstream();
-    let parsed = BdEncodedFrame::from_bitstream(&bytes).expect("the encoder's bytes are valid");
-    assert_eq!(parsed, result.encoded, "parse must reproduce the encoding");
+    let grid = TileGrid::new(dims, tile_size);
+    let map = EccentricityMap::per_tile(&display, &grid, gaze, encoder.config().fovea);
+    let mut bytes = Vec::new();
+    encoder.encode_frame_stream_into(
+        &frame,
+        &map,
+        &mut TemporalHistory::new(),
+        0,
+        &mut StreamScratch::new(),
+        &mut bytes,
+    );
     assert_eq!(
-        parsed.decode(),
-        result.adjusted,
-        "decoded pixels must equal the adjusted frame (BD is lossless)"
+        bytes,
+        figure.encoded.to_bitstream(),
+        "the serving bytes must equal the figure path's"
     );
 
-    // The scratch decoder sees the same pixels without materializing the
-    // tile structure.
-    let mut scratch = SrgbFrame::filled(Dimensions::new(1, 1), Srgb8::default());
+    let mut decoded = SrgbFrame::filled(Dimensions::new(1, 1), Srgb8::default());
     BdDecoder::new()
-        .decode_bitstream_into(&bytes, &mut scratch)
+        .decode_bitstream_into(&bytes, &mut decoded)
         .expect("the encoder's bytes are valid");
-    assert_eq!(scratch, result.adjusted);
+    assert_eq!(
+        decoded, figure.adjusted,
+        "decoded pixels must equal the adjusted frame (BD is lossless)"
+    );
 }
 
 proptest! {

@@ -600,7 +600,7 @@ mod tests {
         let mut expected_bytes_in = 0u64;
         for t in 0..cfg.frames() {
             let frame = renderer.render_linear(t);
-            let result = encoder.encode_frame_stream(&frame, trace.samples()[t as usize]);
+            let result = encoder.encode(&frame, trace.samples()[t as usize]);
             let bitstream = result.encoded.to_bitstream();
             digest = fnv1a_update(digest, &bitstream);
             expected_payloads.push(bitstream);

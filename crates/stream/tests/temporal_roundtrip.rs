@@ -60,7 +60,7 @@ fn encode_session(
         let stats = temporal.encode_frame_stream_into(&frame, gaze, &mut scratch, &mut payload);
         assert_eq!(stats.temporal.keyframe, index % interval == 0);
         payloads.push((stats.temporal.keyframe, payload));
-        adjusted.push(intra.encode_frame_stream(&frame, gaze).adjusted);
+        adjusted.push(intra.encode(&frame, gaze).adjusted);
     }
     EncodedSession { payloads, adjusted }
 }

@@ -73,7 +73,7 @@ pub mod prelude {
     };
     pub use pvc_core::{
         AdjustScratch, BatchCacheStats, BatchEncoder, EncoderConfig, PerceptualEncodeResult,
-        PerceptualEncoder, StreamEncodeResult, StreamFrameStats, StreamScratch, TemporalConfig,
+        PerceptualEncoder, StreamFrameStats, StreamScratch, TemporalConfig,
     };
     pub use pvc_fovea::{DisplayGeometry, EccentricityMap, FoveaConfig, GazePoint, StereoGeometry};
     pub use pvc_frame::{Dimensions, LinearFrame, SrgbFrame, TileGrid};
