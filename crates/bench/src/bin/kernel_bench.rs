@@ -3,10 +3,10 @@
 //! The stream benches measure the whole service; this binary isolates the
 //! SoA lane kernels the tile pipeline is built from — the per-tile axis
 //! adjustment, the ellipsoid build under both discrimination models, the
-//! sRGB quantizer in both directions, and the Base+Delta frame pack and
-//! decode — and reports each one's pixel rate, so a regression in a
-//! single kernel is visible without re-deriving it from end-to-end
-//! numbers. `--json PATH` writes the same numbers as a `BENCH_*.json`
+//! sRGB quantizer in both directions, the Base+Delta frame pack and
+//! decode, and the scene render that feeds the serving path — and reports
+//! each one's pixel rate, so a regression in a single kernel is visible
+//! without re-deriving it from end-to-end numbers. `--json PATH` writes the same numbers as a `BENCH_*.json`
 //! artifact for cross-PR trend tracking.
 
 use pvc_bdc::{BdConfig, BdDecoder, BdEncoder, BitWriter};
@@ -312,6 +312,31 @@ fn bench_stream_frame(dimensions: Dimensions, iters: u32) -> Vec<KernelResult> {
     results
 }
 
+/// The stand-in renderer the serving path's producers run:
+/// `SceneRenderer::render_linear_into` over all six scenes, each frame
+/// rendered into one recycled buffer as the producer's frame pool does.
+fn bench_render(dimensions: Dimensions, iters: u32) -> KernelResult {
+    use pvc_frame::LinearFrame;
+    use pvc_scenes::{SceneConfig, SceneId, SceneRenderer};
+
+    let renderers =
+        SceneId::ALL.map(|scene| SceneRenderer::new(scene, SceneConfig::new(dimensions)));
+    let mut frame = LinearFrame::filled(dimensions, LinearRgb::BLACK);
+    let mut index = 0u32;
+    let wall_seconds = time(iters, || {
+        for renderer in &renderers {
+            renderer.render_linear_into(index, &mut frame);
+        }
+        index += 1;
+        frame.pixel(0, 0).r
+    });
+    KernelResult {
+        kernel: "render",
+        pixels: (dimensions.pixel_count() * renderers.len()) as u64 * u64::from(iters),
+        wall_seconds,
+    }
+}
+
 fn main() {
     const SPEC: ArgSpec = ArgSpec {
         flags: &["--quick"],
@@ -322,7 +347,11 @@ fn main() {
         Err(err) => exit_with_usage(&err, "[--quick] [--json PATH]"),
     };
     let quick = parsed.has("--quick");
-    let (srgb_iters, adjust_iters, pack_iters) = if quick { (40, 20, 20) } else { (400, 200, 200) };
+    let (srgb_iters, adjust_iters, pack_iters, render_iters) = if quick {
+        (40, 20, 20, 2)
+    } else {
+        (400, 200, 200, 10)
+    };
     let srgb_pixels = 1 << 16;
     let tile_count = 1024;
     let pixels_per_tile = 16;
@@ -356,6 +385,9 @@ fn main() {
         Dimensions::new(96, 96),
         adjust_iters * 4,
     ));
+    // Last, with few repetitions: a heavy row depresses the rows timed
+    // after it.
+    results.push(bench_render(Dimensions::new(256, 256), render_iters));
 
     println!(
         "kernel_bench: {} mode",

@@ -5,7 +5,10 @@
 //! ellipsoids, axis candidates, the adjusted frame in both color spaces
 //! and the packed bitstream all live in buffers that warm up once and are
 //! reused for the rest of the session. This test pins that property with
-//! a counting global allocator so it cannot silently rot.
+//! a counting global allocator so it cannot silently rot. The producer
+//! side of a stream frame is pinned too: rendering a scene into a
+//! recycled pool buffer must not allocate either (the noise cursors live
+//! on the stack).
 //!
 //! The test lives alone in its own integration-test binary: the counter
 //! is process-global, and a concurrently running sibling test would
@@ -48,8 +51,34 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Renders every scene into an already-sized frame, as a shard producer
+/// does with a recycled pool buffer, and asserts zero allocation events.
+fn assert_rendering_into_a_sized_frame_does_not_allocate() {
+    let dims = Dimensions::new(96, 64);
+    let renderers = SceneId::ALL.map(|scene| SceneRenderer::new(scene, SceneConfig::new(dims)));
+    let mut frame = renderers[0].render_linear(0);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for renderer in &renderers {
+        for index in [0, 1, 23] {
+            renderer.render_linear_into(index, &mut frame);
+        }
+    }
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(frame.dimensions(), dims);
+    assert_eq!(
+        allocations, 0,
+        "rendering into a sized frame must not allocate \
+         ({allocations} allocation events over 18 renders)"
+    );
+}
+
 #[test]
 fn steady_state_stream_frames_do_not_allocate() {
+    // Inside this one test rather than beside it: the counter is
+    // process-global, so a second test running concurrently would leak
+    // its allocations into the other's measured window.
+    assert_rendering_into_a_sized_frame_does_not_allocate();
+
     let dims = Dimensions::new(96, 64);
     let renderer = SceneRenderer::new(SceneId::Office, SceneConfig::new(dims));
     let frames: Vec<_> = (0..4).map(|t| renderer.render_linear(t)).collect();

@@ -1,6 +1,6 @@
 //! The six synthetic VR scenes and their renderer.
 
-use crate::noise::FractalNoise;
+use crate::noise::{FractalNoise, NoiseCursor};
 use pvc_color::LinearRgb;
 use pvc_frame::{Dimensions, LinearFrame, SrgbFrame};
 use serde::{Deserialize, Serialize};
@@ -198,24 +198,55 @@ impl SceneRenderer {
             0.5,
         );
         let time = f64::from(index) * 0.06;
-        let eye_width = if self.config.stereo {
-            dims.width / 2
-        } else {
-            dims.width
-        };
-        for y in 0..dims.height {
-            for x in 0..dims.width {
-                // Per-eye coordinates normalized to [0, 1]; the right eye is
-                // shifted slightly to mimic stereo parallax.
-                let (ex, parallax) = if self.config.stereo && x >= eye_width {
-                    (x - eye_width, 0.012)
-                } else {
-                    (x, 0.0)
-                };
-                let u = (f64::from(ex) + 0.5) / f64::from(eye_width) + parallax + time * 0.05;
-                let v = (f64::from(y) + 0.5) / f64::from(dims.height);
-                let color = self.shade(u, v, time, &noise, &detail);
-                frame.set_pixel(x, y, color.clamped());
+        // One cursor per noise call site: each site walks its own lattice
+        // cells along the scanline, and sites at different scales would
+        // only evict each other from a shared cache.
+        match self.scene {
+            SceneId::Office => {
+                let (mut screen, mut ambient) = (detail.cursor(), noise.cursor());
+                self.fill(frame, time, |u, v| {
+                    shade_office(u, v, &mut screen, &mut ambient)
+                });
+            }
+            SceneId::Fortnite => {
+                let (mut horizon, mut clouds) = (noise.cursor(), noise.cursor());
+                let (mut meadow, mut canopy) = (noise.cursor(), detail.cursor());
+                self.fill(frame, time, |u, v| {
+                    shade_fortnite(
+                        u,
+                        v,
+                        time,
+                        &mut horizon,
+                        &mut clouds,
+                        &mut meadow,
+                        &mut canopy,
+                    )
+                });
+            }
+            SceneId::Skyline => {
+                let (mut skyline, mut windows) = (noise.cursor(), detail.cursor());
+                self.fill(frame, time, |u, v| {
+                    shade_skyline(u, v, &mut skyline, &mut windows)
+                });
+            }
+            SceneId::Dumbo => {
+                let lamps = lamp_positions(time);
+                let (mut deck, mut street) = (noise.cursor(), detail.cursor());
+                self.fill(frame, time, |u, v| {
+                    shade_dumbo(u, v, &lamps, &mut deck, &mut street)
+                });
+            }
+            SceneId::Thai => {
+                let (mut ornament, mut shadow) = (detail.cursor(), noise.cursor());
+                self.fill(frame, time, |u, v| {
+                    shade_thai(u, v, &mut ornament, &mut shadow)
+                });
+            }
+            SceneId::Monkey => {
+                let (mut leaves, mut shafts) = (detail.cursor(), noise.cursor());
+                self.fill(frame, time, |u, v| {
+                    shade_monkey(u, v, &mut leaves, &mut shafts)
+                });
             }
         }
     }
@@ -226,21 +257,37 @@ impl SceneRenderer {
         self.render_linear(index).to_srgb()
     }
 
-    fn shade(
+    /// Shades every pixel of an already-sized `frame` in row-major order,
+    /// calling `shade` with the pixel's per-eye scene coordinates `(u, v)`.
+    fn fill(
         &self,
-        u: f64,
-        v: f64,
+        frame: &mut LinearFrame,
         time: f64,
-        noise: &FractalNoise,
-        detail: &FractalNoise,
-    ) -> LinearRgb {
-        match self.scene {
-            SceneId::Office => shade_office(u, v, noise, detail),
-            SceneId::Fortnite => shade_fortnite(u, v, time, noise, detail),
-            SceneId::Skyline => shade_skyline(u, v, noise, detail),
-            SceneId::Dumbo => shade_dumbo(u, v, time, noise, detail),
-            SceneId::Thai => shade_thai(u, v, noise, detail),
-            SceneId::Monkey => shade_monkey(u, v, noise, detail),
+        mut shade: impl FnMut(f64, f64) -> LinearRgb,
+    ) {
+        let dims = self.config.dimensions;
+        let width = dims.width as usize;
+        let eye_width = if self.config.stereo {
+            dims.width / 2
+        } else {
+            dims.width
+        };
+        let drift = time * 0.05;
+        let pixels = frame.pixels_mut();
+        for y in 0..dims.height {
+            let v = (f64::from(y) + 0.5) / f64::from(dims.height);
+            let start = y as usize * width;
+            for (x, pixel) in (0..dims.width).zip(&mut pixels[start..start + width]) {
+                // Per-eye coordinates normalized to [0, 1]; the right eye is
+                // shifted slightly to mimic stereo parallax.
+                let (ex, parallax) = if self.config.stereo && x >= eye_width {
+                    (x - eye_width, 0.012)
+                } else {
+                    (x, 0.0)
+                };
+                let u = (f64::from(ex) + 0.5) / f64::from(eye_width) + parallax + drift;
+                *pixel = shade(u, v).clamped();
+            }
         }
     }
 }
@@ -249,7 +296,7 @@ fn mix(a: LinearRgb, b: LinearRgb, t: f64) -> LinearRgb {
     a.lerp(b, t.clamp(0.0, 1.0))
 }
 
-fn shade_office(u: f64, v: f64, noise: &FractalNoise, detail: &FractalNoise) -> LinearRgb {
+fn shade_office(u: f64, v: f64, screen: &mut NoiseCursor, ambient: &mut NoiseCursor) -> LinearRgb {
     // Smooth beige walls with a darker floor, a window and a desk rectangle.
     let wall = LinearRgb::new(0.55, 0.5, 0.42);
     let floor = LinearRgb::new(0.28, 0.22, 0.18);
@@ -268,11 +315,11 @@ fn shade_office(u: f64, v: f64, noise: &FractalNoise, detail: &FractalNoise) -> 
         color = mix(
             color,
             LinearRgb::new(0.3, 0.5, 0.7),
-            detail.sample(u, v, 24.0) * 0.4,
+            screen.sample(u, v, 24.0) * 0.4,
         );
     }
     // Gentle ambient-occlusion-like shading and very mild texture.
-    let shade = 0.92 + 0.08 * noise.sample(u, v, 3.0);
+    let shade = 0.92 + 0.08 * ambient.sample(u, v, 3.0);
     LinearRgb::new(color.r * shade, color.g * shade, color.b * shade)
 }
 
@@ -280,18 +327,20 @@ fn shade_fortnite(
     u: f64,
     v: f64,
     time: f64,
-    noise: &FractalNoise,
-    detail: &FractalNoise,
+    horizon_noise: &mut NoiseCursor,
+    clouds: &mut NoiseCursor,
+    meadow_noise: &mut NoiseCursor,
+    canopy_noise: &mut NoiseCursor,
 ) -> LinearRgb {
     // Bright sky over rolling green terrain with saturated foliage.
     let sky_top = LinearRgb::new(0.35, 0.6, 0.95);
     let sky_bottom = LinearRgb::new(0.75, 0.85, 0.98);
-    let horizon = 0.42 + 0.04 * noise.sample(u * 0.5 + time * 0.02, 0.3, 3.0);
+    let horizon = 0.42 + 0.04 * horizon_noise.sample(u * 0.5 + time * 0.02, 0.3, 3.0);
     if v < horizon {
         let t = (v / horizon).clamp(0.0, 1.0);
         let mut sky = mix(sky_top, sky_bottom, t);
         // Puffy clouds.
-        let cloud = noise.sample(u + time * 0.1, v * 2.0, 5.0);
+        let cloud = clouds.sample(u + time * 0.1, v * 2.0, 5.0);
         if cloud > 0.62 {
             sky = mix(sky, LinearRgb::new(0.95, 0.96, 0.98), (cloud - 0.62) * 2.2);
         }
@@ -299,10 +348,10 @@ fn shade_fortnite(
     } else {
         let grass = LinearRgb::new(0.18, 0.62, 0.16);
         let meadow = LinearRgb::new(0.32, 0.72, 0.2);
-        let blend = noise.sample(u * 2.0, v * 2.0, 6.0);
+        let blend = meadow_noise.sample(u * 2.0, v * 2.0, 6.0);
         let mut ground = mix(grass, meadow, blend);
         // Tree canopies: saturated dark green blobs.
-        let canopy = detail.sample(u * 1.5, v * 1.5, 10.0);
+        let canopy = canopy_noise.sample(u * 1.5, v * 1.5, 10.0);
         if canopy > 0.6 {
             ground = mix(ground, LinearRgb::new(0.08, 0.4, 0.1), (canopy - 0.6) * 2.0);
         }
@@ -312,20 +361,25 @@ fn shade_fortnite(
     }
 }
 
-fn shade_skyline(u: f64, v: f64, noise: &FractalNoise, detail: &FractalNoise) -> LinearRgb {
+fn shade_skyline(
+    u: f64,
+    v: f64,
+    skyline: &mut NoiseCursor,
+    windows: &mut NoiseCursor,
+) -> LinearRgb {
     // Dusk sky behind high-contrast building silhouettes with lit windows.
     let sky_top = LinearRgb::new(0.18, 0.2, 0.45);
     let sky_low = LinearRgb::new(0.85, 0.45, 0.25);
     let sky = mix(sky_top, sky_low, v.powf(1.5));
     // Building height field: blocky function of u.
     let column = (u * 14.0).floor();
-    let building_height = 0.35 + 0.45 * noise.sample(column * 0.173 + 0.31, 0.5, 1.0);
+    let building_height = 0.35 + 0.45 * skyline.sample(column * 0.173 + 0.31, 0.5, 1.0);
     if v > building_height {
         // Facade: dark with bright window speckles (high-frequency detail).
         let mut facade = LinearRgb::new(0.05, 0.05, 0.08);
         let wx = (u * 140.0).floor();
         let wy = (v * 90.0).floor();
-        let window = detail.sample(wx * 0.37, wy * 0.73, 1.0);
+        let window = windows.sample(wx * 0.37, wy * 0.73, 1.0);
         if window > 0.78 {
             facade = LinearRgb::new(0.9, 0.8, 0.45);
         } else if window > 0.7 {
@@ -337,12 +391,18 @@ fn shade_skyline(u: f64, v: f64, noise: &FractalNoise, detail: &FractalNoise) ->
     }
 }
 
+/// Horizontal positions of Dumbo's four street lamps at `time`; they
+/// drift slightly over time.
+fn lamp_positions(time: f64) -> [f64; 4] {
+    [0.0, 1.0, 2.0, 3.0].map(|lamp: f64| 0.15 + 0.23 * lamp + 0.01 * (time + lamp).sin())
+}
+
 fn shade_dumbo(
     u: f64,
     v: f64,
-    time: f64,
-    noise: &FractalNoise,
-    detail: &FractalNoise,
+    lamps: &[f64; 4],
+    deck_noise: &mut NoiseCursor,
+    street_noise: &mut NoiseCursor,
 ) -> LinearRgb {
     // Dark night-time street under a bridge: low luminance, sparse lights.
     let night = LinearRgb::new(0.012, 0.015, 0.03);
@@ -353,7 +413,7 @@ fn shade_dumbo(
         mix(
             deck,
             LinearRgb::new(0.05, 0.045, 0.05),
-            noise.sample(u * 2.0, v * 4.0, 8.0),
+            deck_noise.sample(u * 2.0, v * 4.0, 8.0),
         )
     } else {
         let street = LinearRgb::new(0.03, 0.03, 0.045);
@@ -361,12 +421,11 @@ fn shade_dumbo(
         mix(
             base,
             LinearRgb::new(0.06, 0.05, 0.07),
-            detail.sample(u * 3.0, v * 3.0, 12.0) * 0.5,
+            street_noise.sample(u * 3.0, v * 3.0, 12.0) * 0.5,
         )
     };
-    // Street lamps: small warm glows that drift slightly over time.
-    for lamp in 0..4 {
-        let lx = 0.15 + 0.23 * f64::from(lamp) + 0.01 * (time + f64::from(lamp)).sin();
+    // Street lamps: small warm glows.
+    for &lx in lamps {
         let ly = 0.42;
         let d2 = (u - lx).powi(2) + (v - ly).powi(2);
         let glow = (-d2 * 800.0).exp();
@@ -375,12 +434,17 @@ fn shade_dumbo(
     color
 }
 
-fn shade_thai(u: f64, v: f64, noise: &FractalNoise, detail: &FractalNoise) -> LinearRgb {
+fn shade_thai(
+    u: f64,
+    v: f64,
+    ornament_noise: &mut NoiseCursor,
+    shadow: &mut NoiseCursor,
+) -> LinearRgb {
     // Warm temple interior: gold and red ornamented surfaces, medium-high
     // spatial detail.
     let wall = LinearRgb::new(0.5, 0.22, 0.1);
     let gold = LinearRgb::new(0.75, 0.55, 0.18);
-    let ornament = detail.sample(u * 3.0, v * 3.0, 18.0);
+    let ornament = ornament_noise.sample(u * 3.0, v * 3.0, 18.0);
     let mut color = mix(wall, gold, (ornament - 0.35) * 1.6);
     // Pillars: vertical bright bands.
     let pillar = ((u * 6.0).fract() - 0.5).abs();
@@ -388,7 +452,7 @@ fn shade_thai(u: f64, v: f64, noise: &FractalNoise, detail: &FractalNoise) -> Li
         color = mix(color, LinearRgb::new(0.8, 0.62, 0.3), 0.7);
     }
     // Ceiling shadow gradient and candle-like warmth near the floor.
-    let shade = 0.55 + 0.45 * noise.sample(u, v, 3.0);
+    let shade = 0.55 + 0.45 * shadow.sample(u, v, 3.0);
     let warmth = 1.0 + 0.2 * (1.0 - v);
     LinearRgb::new(
         color.r * shade * warmth,
@@ -397,14 +461,19 @@ fn shade_thai(u: f64, v: f64, noise: &FractalNoise, detail: &FractalNoise) -> Li
     )
 }
 
-fn shade_monkey(u: f64, v: f64, noise: &FractalNoise, detail: &FractalNoise) -> LinearRgb {
+fn shade_monkey(
+    u: f64,
+    v: f64,
+    leaf_noise: &mut NoiseCursor,
+    shafts: &mut NoiseCursor,
+) -> LinearRgb {
     // Dark jungle: dense foliage texture at low luminance.
     let canopy_dark = LinearRgb::new(0.01, 0.03, 0.012);
     let canopy_mid = LinearRgb::new(0.03, 0.09, 0.03);
-    let leaves = detail.sample(u * 2.5, v * 2.5, 16.0);
+    let leaves = leaf_noise.sample(u * 2.5, v * 2.5, 16.0);
     let mut color = mix(canopy_dark, canopy_mid, leaves);
     // Occasional shafts of moonlight.
-    let shaft = noise.sample(u * 1.2, 0.4, 2.0);
+    let shaft = shafts.sample(u * 1.2, 0.4, 2.0);
     if shaft > 0.72 {
         let strength = (shaft - 0.72) * 1.5 * (1.0 - v);
         color = mix(color, LinearRgb::new(0.12, 0.18, 0.14), strength);
