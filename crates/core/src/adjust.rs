@@ -72,29 +72,6 @@ impl AxisAdjustment {
     }
 }
 
-/// The final result of adjusting a tile: the best of the per-axis attempts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TileAdjustment {
-    /// The winning per-axis adjustment.
-    pub chosen: AxisAdjustment,
-    /// Δ bit cost of the original (unadjusted) tile, for reporting.
-    pub original_cost: u64,
-}
-
-impl TileAdjustment {
-    /// The adjusted pixels of the winning attempt.
-    pub fn adjusted_pixels(&self) -> &[LinearRgb] {
-        &self.chosen.adjusted
-    }
-
-    /// Δ bits saved relative to the unadjusted tile (zero if the adjustment
-    /// could not help).
-    pub fn delta_bits_saved(&self) -> u64 {
-        self.original_cost
-            .saturating_sub(self.chosen.delta_bit_cost())
-    }
-}
-
 /// Σ over channels of the per-Δ bit length × pixel count for a tile of
 /// linear-RGB pixels, measured after sRGB quantization.
 ///
@@ -538,10 +515,10 @@ pub fn adjust_tile_along_axis(
 /// transposed into SoA lanes once, every axis attempt runs the lane
 /// kernels (`extrema_lanes`, the chunked HL/LH reductions,
 /// `lane_axis_adjust`, `delta_bit_cost_lanes`), and only the winning lanes
-/// are scattered back to AoS. Bit-identical to [`adjust_tile`] and to the
-/// scalar per-axis reference ([`adjust_tile_along_axis`]) on the same
-/// inputs — the lanes only change where intermediate values live, the
-/// order of order-independent reductions, and which values the monotone
+/// are scattered back to AoS. Bit-identical to the scalar per-axis
+/// reference ([`adjust_tile_along_axis`]) on the same inputs — the lanes
+/// only change where intermediate values live, the order of
+/// order-independent reductions, and which values the monotone
 /// sRGB quantizer is applied to, never a single computed value. Ties
 /// between axes resolve to the first axis tried, matching
 /// `Iterator::min_by_key`.
@@ -671,37 +648,6 @@ fn search_axes(
     outcome
 }
 
-/// Adjusts one tile by trying every candidate axis and keeping the attempt
-/// with the smallest Δ bit cost (Fig. 7: "pick the one with smaller Δ").
-///
-/// Allocates fresh buffers per call; hot loops should prefer
-/// [`adjust_tile_with`] with a reused [`AdjustScratch`].
-///
-/// # Panics
-///
-/// Panics if `axes` is empty, or if `pixels` and `ellipsoids` have different
-/// lengths or are empty.
-pub fn adjust_tile(
-    pixels: &[LinearRgb],
-    ellipsoids: &[DiscriminationEllipsoid],
-    axes: &[RgbAxis],
-) -> TileAdjustment {
-    let mut scratch = AdjustScratch::new();
-    scratch.pixels.extend_from_slice(pixels);
-    scratch.ellipsoids.extend_from_slice(ellipsoids);
-    let outcome = adjust_tile_with(&mut scratch, axes);
-    TileAdjustment {
-        chosen: AxisAdjustment {
-            axis: outcome.axis,
-            case: outcome.case,
-            adjusted: std::mem::take(&mut scratch.best),
-            hl: outcome.hl,
-            lh: outcome.lh,
-        },
-        original_cost: outcome.original_cost,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -713,6 +659,21 @@ mod tests {
             .iter()
             .map(|&p| model.ellipsoid(p, eccentricity))
             .collect()
+    }
+
+    /// Loads one tile into `scratch` (which may hold a previous tile) and
+    /// adjusts it; the winning pixels are left in `scratch.best()`.
+    fn adjust(
+        scratch: &mut AdjustScratch,
+        pixels: &[LinearRgb],
+        ellipsoids: &[DiscriminationEllipsoid],
+        axes: &[RgbAxis],
+    ) -> TileAdjustOutcome {
+        scratch.pixels.clear();
+        scratch.pixels.extend_from_slice(pixels);
+        scratch.ellipsoids.clear();
+        scratch.ellipsoids.extend_from_slice(ellipsoids);
+        adjust_tile_with(scratch, axes)
     }
 
     fn similar_tile() -> Vec<LinearRgb> {
@@ -760,8 +721,14 @@ mod tests {
             })
             .collect();
         let ellipsoids = ellipsoids_for(&pixels, 30.0);
-        let result = adjust_tile(&pixels, &ellipsoids, &[RgbAxis::Blue, RgbAxis::Red]);
-        for p in result.adjusted_pixels() {
+        let mut scratch = AdjustScratch::new();
+        adjust(
+            &mut scratch,
+            &pixels,
+            &ellipsoids,
+            &[RgbAxis::Blue, RgbAxis::Red],
+        );
+        for p in scratch.best() {
             assert!(p.in_gamut(1e-9), "adjusted color {p:?} out of gamut");
         }
     }
@@ -816,34 +783,47 @@ mod tests {
     #[test]
     fn foveal_ellipsoids_allow_less_adjustment_than_peripheral() {
         let pixels = similar_tile();
-        let foveal = adjust_tile(&pixels, &ellipsoids_for(&pixels, 2.0), &RgbAxis::OPTIMIZED);
-        let peripheral = adjust_tile(&pixels, &ellipsoids_for(&pixels, 30.0), &RgbAxis::OPTIMIZED);
-        assert!(peripheral.chosen.delta_bit_cost() <= foveal.chosen.delta_bit_cost());
+        let mut scratch = AdjustScratch::new();
+        let foveal = adjust(
+            &mut scratch,
+            &pixels,
+            &ellipsoids_for(&pixels, 2.0),
+            &RgbAxis::OPTIMIZED,
+        );
+        let peripheral = adjust(
+            &mut scratch,
+            &pixels,
+            &ellipsoids_for(&pixels, 30.0),
+            &RgbAxis::OPTIMIZED,
+        );
+        assert!(peripheral.adjusted_cost <= foveal.adjusted_cost);
     }
 
     #[test]
     fn adjustment_reduces_delta_bits_on_smooth_peripheral_tiles() {
         let pixels = similar_tile();
         let ellipsoids = ellipsoids_for(&pixels, 25.0);
-        let result = adjust_tile(&pixels, &ellipsoids, &RgbAxis::OPTIMIZED);
+        let mut scratch = AdjustScratch::new();
+        let result = adjust(&mut scratch, &pixels, &ellipsoids, &RgbAxis::OPTIMIZED);
         assert!(
-            result.delta_bits_saved() > 0,
+            result.original_cost.saturating_sub(result.adjusted_cost) > 0,
             "expected savings on a smooth peripheral tile"
         );
-        assert!(result.chosen.delta_bit_cost() < result.original_cost);
+        assert!(delta_bit_cost(scratch.best()) < result.original_cost);
     }
 
     #[test]
     fn adjustment_never_increases_total_delta_bits() {
         for (pixels, ecc) in [(similar_tile(), 5.0), (diverse_tile(), 30.0)] {
             let ellipsoids = ellipsoids_for(&pixels, ecc);
-            let result = adjust_tile(&pixels, &ellipsoids, &RgbAxis::OPTIMIZED);
-            assert!(result.chosen.delta_bit_cost() <= result.original_cost);
+            let mut scratch = AdjustScratch::new();
+            let result = adjust(&mut scratch, &pixels, &ellipsoids, &RgbAxis::OPTIMIZED);
+            assert!(delta_bit_cost(scratch.best()) <= result.original_cost);
         }
     }
 
     #[test]
-    fn scratch_adjustment_is_bit_identical_to_the_allocating_path() {
+    fn reused_scratch_is_bit_identical_to_a_fresh_one() {
         let mut scratch = AdjustScratch::new();
         for (pixels, ecc) in [
             (similar_tile(), 25.0),
@@ -852,36 +832,30 @@ mod tests {
             (vec![LinearRgb::new(0.3, 0.4, 0.5)], 15.0),
         ] {
             let ellipsoids = ellipsoids_for(&pixels, ecc);
-            let expected = adjust_tile(&pixels, &ellipsoids, &RgbAxis::OPTIMIZED);
+            let mut fresh = AdjustScratch::new();
+            let expected = adjust(&mut fresh, &pixels, &ellipsoids, &RgbAxis::OPTIMIZED);
             // The scratch arrives dirty from the previous tile on purpose.
-            scratch.pixels.clear();
-            scratch.pixels.extend_from_slice(&pixels);
-            scratch.ellipsoids.clear();
-            scratch.ellipsoids.extend_from_slice(&ellipsoids);
-            let outcome = adjust_tile_with(&mut scratch, &RgbAxis::OPTIMIZED);
-            assert_eq!(scratch.best(), expected.adjusted_pixels());
-            assert_eq!(outcome.axis, expected.chosen.axis);
-            assert_eq!(outcome.case, expected.chosen.case);
-            assert_eq!(outcome.hl, expected.chosen.hl);
-            assert_eq!(outcome.lh, expected.chosen.lh);
+            let outcome = adjust(&mut scratch, &pixels, &ellipsoids, &RgbAxis::OPTIMIZED);
+            assert_eq!(scratch.best(), fresh.best());
+            assert_eq!(outcome.axis, expected.axis);
+            assert_eq!(outcome.case, expected.case);
+            assert_eq!(outcome.hl, expected.hl);
+            assert_eq!(outcome.lh, expected.lh);
             assert_eq!(outcome.original_cost, expected.original_cost);
-            assert_eq!(outcome.adjusted_cost, expected.chosen.delta_bit_cost());
+            assert_eq!(outcome.adjusted_cost, delta_bit_cost(fresh.best()));
         }
     }
 
     #[test]
     fn scratch_no_regress_keeps_the_original_pixels() {
         // Near-zero ellipsoids leave no room to improve: the scratch path
-        // must fall back to the original pixels, exactly like adjust_tile.
+        // must fall back to the original pixels.
         let pixels = diverse_tile();
         let ellipsoids = ellipsoids_for(&pixels, 0.01);
         let mut scratch = AdjustScratch::new();
-        scratch.pixels.extend_from_slice(&pixels);
-        scratch.ellipsoids.extend_from_slice(&ellipsoids);
-        let outcome = adjust_tile_with(&mut scratch, &RgbAxis::OPTIMIZED);
-        let expected = adjust_tile(&pixels, &ellipsoids, &RgbAxis::OPTIMIZED);
-        assert_eq!(scratch.best(), expected.adjusted_pixels());
-        assert_eq!(outcome.adjusted_cost, expected.chosen.delta_bit_cost());
+        let outcome = adjust(&mut scratch, &pixels, &ellipsoids, &RgbAxis::OPTIMIZED);
+        assert_eq!(scratch.best(), &pixels[..]);
+        assert_eq!(outcome.adjusted_cost, delta_bit_cost(scratch.best()));
         assert!(
             outcome.adjusted_cost <= outcome.original_cost,
             "the no-regress guard must hold"
@@ -1042,6 +1016,6 @@ mod tests {
     fn empty_axes_panic() {
         let pixels = similar_tile();
         let ellipsoids = ellipsoids_for(&pixels, 10.0);
-        let _ = adjust_tile(&pixels, &ellipsoids, &[]);
+        let _ = adjust(&mut AdjustScratch::new(), &pixels, &ellipsoids, &[]);
     }
 }

@@ -61,8 +61,8 @@ pub mod stats;
 
 pub use ablation::{run_ablation, AblationResult, AblationVariant};
 pub use adjust::{
-    adjust_tile, adjust_tile_along_axis, adjust_tile_with, AdjustScratch, AdjustmentCase,
-    AxisAdjustment, TileAdjustOutcome, TileAdjustment,
+    adjust_tile_along_axis, adjust_tile_with, AdjustScratch, AdjustmentCase, AxisAdjustment,
+    TileAdjustOutcome,
 };
 pub use batch::{BatchCacheStats, BatchEncoder, DEFAULT_GAZE_CACHE_CAPACITY};
 pub use config::{EncoderConfig, TemporalConfig};

@@ -202,16 +202,6 @@ impl QueueStats {
     pub fn peak_depth(&self) -> usize {
         self.0.peak_depth.load(Ordering::Relaxed) as usize
     }
-
-    /// Resets the high-water mark to the *current* occupancy so a new
-    /// accounting epoch starts clean. Without this, a queue surviving a
-    /// drain/respawn cycle would leak the drained shard's peak into its
-    /// replacement's report.
-    pub fn reset_peak_depth(&self) {
-        self.0
-            .peak_depth
-            .store(self.depth() as u64, Ordering::Relaxed);
-    }
 }
 
 /// Creates a bounded queue of the given depth.
@@ -353,28 +343,6 @@ mod tests {
         assert_eq!(stats.enqueued(), 4);
         drop(tx);
         assert_eq!(rx.into_iter().count(), 2);
-    }
-
-    #[test]
-    fn reset_peak_depth_starts_a_fresh_epoch() {
-        let (tx, rx, stats) = bounded_queue(4);
-        tx.send(1u8).unwrap();
-        tx.send(2u8).unwrap();
-        tx.send(3u8).unwrap();
-        assert_eq!(rx.recv().unwrap(), 1);
-        assert_eq!(rx.recv().unwrap(), 2);
-        assert_eq!(stats.peak_depth(), 3);
-        // Resetting snaps the mark down to the current occupancy (one
-        // item still enqueued), not to zero.
-        stats.reset_peak_depth();
-        assert_eq!(stats.peak_depth(), 1);
-        // The new epoch accumulates its own high-water mark.
-        tx.send(4u8).unwrap();
-        assert_eq!(stats.peak_depth(), 2);
-        drop(tx);
-        assert_eq!(rx.into_iter().count(), 2);
-        stats.reset_peak_depth();
-        assert_eq!(stats.peak_depth(), 0);
     }
 
     #[test]

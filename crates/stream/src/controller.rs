@@ -504,15 +504,9 @@ mod tests {
         assert!(controller.tick().is_idle(), "one overloaded tick: patience");
         let actions = controller.tick();
         assert_eq!(actions.shed, Some(0), "two overloaded ticks: shed");
-        // The shed verb is asynchronous: the worker releases the victim's
-        // committed pixels when the downgrade lands, and only then can a
-        // tick promote the queued session.
-        for _ in 0..1_000 {
-            if controller.committed_pixels() < vision_cost {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        // Shedding blocks until the downgrade lands, so the victim's
+        // committed pixels are already released for the next tick.
+        assert!(controller.committed_pixels() < vision_cost);
         let after = controller.tick();
         assert_eq!(after.admitted, vec![1], "freed pixels promote the queue");
 

@@ -17,7 +17,7 @@
 //! ([`pvc_parallel::bounded_queue`]):
 //!
 //! ```text
-//!            control channel (admit / cancel / retier / migrate / resume)
+//!            control channel (open / close / shutdown)
 //! runtime ──────────────────────────► producer thread
 //!                                        │ render, round-robin
 //!                                        ▼
@@ -25,15 +25,16 @@
 //!                                        │ encode, in arrival order
 //!                                        ▼
 //! runtime ◄────────────────────────── worker thread
-//!            event channel (session reports, shard report)
+//!            event channel (closed sessions, shard report)
 //! ```
 //!
 //! The producer owns each member session's renderer and gaze trace and
 //! interleaves sessions frame-major (A0 B0 A1 B1 …); the worker owns each
 //! member session's [`BatchEncoder`] and telemetry. A session's stream
-//! travels `Open → Frame×n → Close` through the queue (`Cancel` replaces
-//! `Close` when the session is hard-cancelled), so the worker learns about
-//! sessions in the exact order the producer committed to.
+//! travels `Open → Frame×n → Close` through the queue, so the worker
+//! learns about sessions in the exact order the producer committed to.
+//! `Close` says how the stream left the shard: it completed its frame
+//! budget, it was hard-cancelled, or it was evicted to be reopened.
 //!
 //! # Steady-state allocation
 //!
@@ -73,17 +74,25 @@
 //!
 //! # Elasticity
 //!
-//! The shard fleet is dynamic. [`StreamRuntime::spawn_shard`] adds a
-//! shard mid-flight (stable, never-reused ids); [`StreamRuntime::drain_shard`]
-//! migrates a shard's members off and winds its threads down;
-//! [`StreamRuntime::migrate`] moves one live session between shards with
-//! its digest/wire sinks carried mid-chain and its encoder rebuilt from
-//! config on arrival; [`StreamRuntime::shed`] downgrades a live session's
-//! resolution tier in place, re-deriving renderer, gaze trace and encoder
-//! from the lower profile and stamping a tier-change record into the wire
-//! stream. All four are counted in [`ElasticityCounters`] and marked on
-//! the control trace lane. The policy loop that decides *when* to do any
-//! of this lives one layer up, in [`crate::controller`].
+//! The shard protocol has two primitives: **open** a session on a shard
+//! at `(config, frame k, carried state)`, and **close** it. Every
+//! elasticity verb is a composition of the two:
+//!
+//! * [`StreamRuntime::migrate`] closes a live session with `Evict` and
+//!   opens it again at the next frame index on another shard, same
+//!   profile;
+//! * [`StreamRuntime::shed`] does the same on the session's own shard
+//!   with a lower profile; the reopen stamps a tier-change record into
+//!   the wire stream;
+//! * [`StreamRuntime::drain_shard`] reopens every member wherever
+//!   placement puts it, with the draining shard flagged, then winds the
+//!   shard's threads down.
+//!
+//! [`StreamRuntime::spawn_shard`] adds a shard mid-flight (stable,
+//! never-reused ids). Migrations, sheds and shard spawns/drains are
+//! counted in [`ElasticityCounters`] and marked on the control trace
+//! lane. The policy loop that decides *when* to do any of this lives one
+//! layer up, in [`crate::controller`].
 //!
 //! # Determinism
 //!
@@ -92,13 +101,21 @@
 //! depth, or other sessions being hard-cancelled around it: it is encoded
 //! in frame order by exactly one worker, by an encoder built only from
 //! the session's own config. Placement and churn move *where* and *when*
-//! that happens — never *what* is produced. Migration preserves this
-//! (the whole stream stays bit-identical to the solo run), and a shed
-//! session's post-downgrade stream is bit-identical to a solo run started
-//! at the lower profile from the same frame index — both pinned by
-//! `tests/migration_determinism.rs`. Only wall-clock telemetry is
-//! machine- and timing-dependent, and only a hard-cancelled session's own
-//! stream *length* is timing-dependent (a prefix of its solo stream).
+//! that happens — never *what* is produced.
+//!
+//! Reopening preserves this because encoded bits are a pure function of
+//! `(scene, seed, profile, frame index)`. Close, then open at k: every
+//! frame rendered before the eviction is encoded before the `Close`, the
+//! reopened renderer, gaze trace and encoder are rebuilt from the config
+//! alone, and the encoder's frame counter starts at k with an empty
+//! reference, so frame k is an intra refresh. A migrated stream therefore
+//! equals the solo run, and a shed stream equals the solo run at the old
+//! profile before k and at the new profile from k on (pinned by
+//! `tests/migration_determinism.rs`; under temporal coding only the
+//! refresh frame itself differs, pinned by `tests/temporal_determinism.rs`).
+//! Only wall-clock telemetry is machine- and timing-dependent, and only a
+//! hard-cancelled session's own stream *length* is timing-dependent (a
+//! prefix of its solo stream).
 
 use crate::gaze::GazeTrace;
 use crate::placement::{Placement, ShardLoad, Static};
@@ -131,28 +148,37 @@ use std::time::{Duration, Instant};
 /// [`JoinHandle::is_finished`] on this cadence instead.
 const EVENT_POLL: Duration = Duration::from_millis(25);
 
+/// How a session's stream leaves its shard.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum CloseMode {
+    /// The stream rendered its whole frame budget.
+    Complete,
+    /// Hard-cancelled: the not-yet-rendered frames are dropped and the
+    /// report comes back partial, flagged `cancelled`.
+    Cancel,
+    /// Evicted mid-stream, so the runtime can reopen it at the next frame
+    /// index (migrate, shed, drain).
+    Evict,
+}
+
+/// Opens session `id` under `config` at frame `at`. `state` is the
+/// carried state of a reopened session, `None` for a fresh admission. The
+/// runtime sends it to the producer, which forwards it to the worker.
+struct SessionOpen {
+    id: usize,
+    config: SessionConfig,
+    at: u32,
+    state: Option<Box<SessionCarry>>,
+}
+
 /// Commands the runtime sends to a shard's producer thread.
 enum ShardControl {
-    /// Take ownership of a session and start streaming its frames.
-    Admit { id: usize, config: SessionConfig },
-    /// Hard-cancel a member session: stop rendering its remaining frames
-    /// and have the worker finalize a partial, `cancelled` report. A
-    /// no-op if the session already finished its stream.
-    Cancel { id: usize },
-    /// Downgrade a member session to `profile` mid-stream (tier shed):
-    /// the producer re-derives its renderer and gaze trace from the new
-    /// profile and keeps streaming from the current frame index under the
-    /// new numbering. A no-op if the session already finished.
-    Retier { id: usize, profile: SessionProfile },
-    /// Evict a member session so the runtime can move it to another
-    /// shard: the producer stops rendering it and has the worker package
-    /// the session's in-progress state into a [`SessionCarry`]. Answered
-    /// with [`RuntimeEvent::Migrated`], or [`RuntimeEvent::MigrateRefused`]
-    /// when the session is no longer a member (its stream completed).
-    Migrate { id: usize },
-    /// Adopt a session mid-stream on this shard, continuing exactly where
-    /// the carry's `frames_done` says its previous shard stopped.
-    Resume { id: usize, carry: Box<SessionCarry> },
+    /// Take ownership of a session and stream its frames from `at` on.
+    Open(SessionOpen),
+    /// Stop rendering a member session and close it `how` (`Cancel` or
+    /// `Evict`). A no-op for a non-member: its stream already completed,
+    /// and its `Complete` close is on the way.
+    Close { id: usize, how: CloseMode },
     /// Finish every member session's remaining frames, then exit.
     Shutdown,
 }
@@ -160,11 +186,12 @@ enum ShardControl {
 /// One message travelling through a shard's render→encode queue.
 ///
 /// A session's lifetime on the queue is `Open`, then its frames in order,
-/// then `Close` (or `Cancel` for a hard-cancelled session) — all emitted
-/// by the single producer, so the worker sees them in exactly that order.
+/// then `Close` — all emitted by the single producer, so the worker sees
+/// them in exactly that order, and a `Close` lands behind every frame
+/// rendered before it.
 enum ShardJob {
-    /// The worker should create the session's encoder and report.
-    Open { id: usize, config: SessionConfig },
+    /// The worker should open the session (see [`WorkerSession::open`]).
+    Open(SessionOpen),
     /// One rendered frame to encode.
     Frame {
         id: usize,
@@ -175,77 +202,93 @@ enum ShardJob {
         /// (one clock read) — timing never steers any encoded bit.
         enqueued: Instant,
     },
-    /// The session's last frame has been sent; finalize its report.
-    Close { id: usize },
-    /// The session was hard-cancelled; finalize its partial report with
-    /// the `cancelled` flag set. No further frames for the id follow.
-    Cancel { id: usize },
-    /// The session was downgraded to `config`'s profile. Travels through
-    /// the queue *behind* every frame rendered under the old profile, so
-    /// the worker rebuilds the encoder at exactly the right frame index
-    /// and stamps a tier-change record into the wire stream there.
-    Retier { id: usize, config: SessionConfig },
-    /// The session is leaving this shard: package its in-progress state
-    /// into a [`SessionCarry`] and hand it back to the runtime. `config`
-    /// and `next` are the producer's authoritative session config (post
-    /// any retier) and next-frame index.
-    Migrate {
-        id: usize,
-        config: SessionConfig,
-        next: u32,
-    },
-    /// The session is arriving on this shard mid-stream; rebuild its
-    /// worker state from the carry. No further `Open` follows.
-    Resume { id: usize, carry: Box<SessionCarry> },
+    /// No further frames for the session follow; hand its state back.
+    Close { id: usize, how: CloseMode },
 }
 
-/// A mid-stream session's portable state, packaged by the source shard's
-/// worker on [`ShardJob::Migrate`] and rebuilt by the destination on
-/// [`ShardJob::Resume`].
+/// A session's cumulative state, which outlives any one shard: the worker
+/// hands it back on every close, and a reopen carries it to the next
+/// open.
 ///
-/// The encoder itself is *not* carried: it is rebuilt fresh from `config`
-/// on the destination, which is bit-safe because the encoder's
-/// eccentricity-map cache only ever changes where intermediates live —
-/// never an emitted bit. What must survive the hop is everything
-/// cumulative: the report (throughput, digests folded so far), the frame
-/// sinks (digest chain state, collected wire bytes), and the cache/shard
-/// accounting baselines.
+/// The encoder is *not* carried: every open rebuilds it from the config,
+/// which is bit-safe because the encoder's eccentricity-map cache only
+/// ever changes where intermediates live — never an emitted bit. What
+/// must survive is everything cumulative: the report (throughput, cache
+/// counters, downgrade stamps) and the frame sinks (digest chain state,
+/// collected wire bytes).
 struct SessionCarry {
-    /// The session's config as of the migration (reflects any tier shed).
+    /// The config the session is currently streaming under.
     config: SessionConfig,
-    /// Frames fully rendered and encoded before the hop; the destination
-    /// producer resumes at this index.
-    frames_done: u32,
-    /// The in-progress report (throughput counters, downgrade stamps).
     report: SessionReport,
-    /// The digest sink mid-chain; folding continues seamlessly.
+    /// The telemetry sink (digest chain, optional payload collection).
     digest: DigestSink,
-    /// The wire sink mid-stream, when collection is on.
+    /// The serving sink (framed wire stream), when collection is on.
     wire: Option<WireSink>,
-    /// Encode-start instant of the session's first frame (on any shard).
+    /// Encode-start instant of the session's first frame (on any shard);
+    /// per-session wall-clock runs from here to the end of the last
+    /// frame's encode.
     first_frame: Option<Instant>,
-    /// Cache counters accumulated by every *previous* encoder incarnation
-    /// (retiers and earlier hops); the final report sums these with the
-    /// last encoder's own stats.
-    carried_cache: BatchCacheStats,
-    /// Frames/pixels already attributed to previous shards' reports, so
-    /// the finalizing shard only claims its own share.
-    counted_frames: u64,
-    counted_pixels: u64,
+}
+
+impl SessionCarry {
+    /// The state of a session that has not streamed a frame yet.
+    fn new(id: usize, service: &ServiceConfig, config: SessionConfig) -> SessionCarry {
+        SessionCarry {
+            report: SessionReport {
+                session: id,
+                scene: config.scene,
+                tier: config.profile.tier,
+                shard: 0,
+                cancelled: false,
+                throughput: ThroughputReport::default(),
+                cache: BatchCacheStats::default(),
+                temporal: TemporalTotals::default(),
+                stream_digest: FNV_OFFSET_BASIS,
+                payloads: None,
+                wire_stream: None,
+                downgraded_from: None,
+                downgrade_frame: None,
+            },
+            config,
+            digest: DigestSink::new(service.collect_payloads),
+            wire: service.collect_wire.then(WireSink::new),
+            first_frame: None,
+        }
+    }
+
+    /// The session's frame sinks: telemetry first, then (when enabled)
+    /// the wire stream. Every encoded frame goes through each.
+    fn sinks(&mut self) -> impl Iterator<Item = &mut dyn FrameSink> {
+        std::iter::once(&mut self.digest as &mut dyn FrameSink)
+            .chain(self.wire.iter_mut().map(|sink| sink as &mut dyn FrameSink))
+    }
+
+    /// Seals a closed session's final report: finishes its sinks and moves
+    /// the digest, payloads and wire bytes into it.
+    fn seal(mut self, cancelled: bool) -> SessionReport {
+        for sink in self.sinks() {
+            sink.finish(cancelled);
+        }
+        let mut report = self.report;
+        report.cancelled = cancelled;
+        report.stream_digest = self.digest.digest();
+        report.payloads = self.digest.take_payloads();
+        report.wire_stream = self.wire.map(WireSink::into_bytes);
+        report
+    }
 }
 
 /// What shard threads report back to the runtime.
 enum RuntimeEvent {
-    /// A session's stream completed; here is its final report.
-    SessionDone(SessionReport),
+    /// A session left its shard's worker `how`; `state` holds its report
+    /// and sinks.
+    Closed {
+        id: usize,
+        how: CloseMode,
+        state: Box<SessionCarry>,
+    },
     /// A shard worker exited (after queue drain); here is its telemetry.
     ShardDone(ShardReport),
-    /// A session's state left its source shard (response to
-    /// [`ShardControl::Migrate`]); the runtime re-places it.
-    Migrated { id: usize, carry: Box<SessionCarry> },
-    /// The migration target session had already completed; its report
-    /// arrives (or arrived) as a normal [`RuntimeEvent::SessionDone`].
-    MigrateRefused { id: usize },
 }
 
 /// A session as the producer thread sees it: config plus the deterministic
@@ -257,104 +300,44 @@ struct ProducerSession {
     trace: GazeTrace,
     /// Next frame index to render.
     next: u32,
-    /// Whether `Open` (or `Resume`) has been sent ahead of the first frame.
-    opened: bool,
-    /// Carried state awaiting delivery to the worker: present between a
-    /// [`ShardControl::Resume`] and the lazy [`ShardJob::Resume`] send.
-    carry: Option<Box<SessionCarry>>,
 }
 
 impl ProducerSession {
-    fn admit(id: usize, config: SessionConfig) -> ProducerSession {
-        let renderer = SceneRenderer::new(
-            config.scene,
-            SceneConfig::new(config.dimensions()).with_seed(config.seed),
-        );
-        let trace = GazeTrace::synthesize(
-            &config.gaze_model(),
-            config.dimensions(),
-            config.seed ^ GAZE_SEED_SALT,
-            config.frames() as usize,
-        );
+    /// Rebuilds the render side of a session at frame `at`. The renderer
+    /// and gaze trace are pure functions of the config, and
+    /// `render_linear_into(t, ..)` depends only on `t` — so opening at `at`
+    /// produces exactly the frames a solo run would from there on.
+    fn open(id: usize, config: SessionConfig, at: u32) -> ProducerSession {
         ProducerSession {
             id,
+            renderer: SceneRenderer::new(
+                config.scene,
+                SceneConfig::new(config.dimensions()).with_seed(config.seed),
+            ),
+            trace: GazeTrace::synthesize(
+                &config.gaze_model(),
+                config.dimensions(),
+                config.seed ^ GAZE_SEED_SALT,
+                config.frames() as usize,
+            ),
             config,
-            renderer,
-            trace,
-            next: 0,
-            opened: false,
-            carry: None,
+            next: at,
         }
     }
-
-    /// Rebuilds the render side of a migrated session. The renderer and
-    /// gaze trace are pure functions of the config, and
-    /// `render_linear_into(t, ..)` depends only on `t` — so resuming at
-    /// `frames_done` produces exactly the frames the solo run would have.
-    fn resume(id: usize, carry: Box<SessionCarry>) -> ProducerSession {
-        let mut session = ProducerSession::admit(id, carry.config.clone());
-        session.next = carry.frames_done;
-        session.carry = Some(carry);
-        session
-    }
 }
 
-/// Sends the session's first queue message (`Open` for a fresh session,
-/// `Resume` for a migrated one) if it has not been sent yet. Every path
-/// that enqueues anything for the session goes through this first, so the
-/// worker always learns about a session before its frames/cancel/migrate.
-///
-/// Returns `Err` when the worker is gone (queue closed).
-fn send_first(session: &mut ProducerSession, jobs: &BoundedSender<ShardJob>) -> Result<(), ()> {
-    if session.opened {
-        return Ok(());
-    }
-    session.opened = true;
-    let job = match session.carry.take() {
-        Some(carry) => ShardJob::Resume {
-            id: session.id,
-            carry,
-        },
-        None => ShardJob::Open {
-            id: session.id,
-            config: session.config.clone(),
-        },
-    };
-    jobs.send(job).map_err(|_| ())
-}
-
-/// A session as the worker thread sees it: encoder plus telemetry plus
-/// the sinks its encoded frames are emitted through.
+/// A session as the worker thread sees it: its encoder plus its carried
+/// state.
 struct WorkerSession {
     encoder: BatchEncoder<SyntheticDiscriminationModel>,
-    report: SessionReport,
-    /// The telemetry sink (digest chain, optional payload collection).
-    digest: DigestSink,
-    /// The serving sink (framed wire stream), when collection is on.
-    wire: Option<WireSink>,
-    /// The session's per-frame pixel cost, released from the shard's
-    /// committed-pixels gauge when the session finalizes.
-    frame_pixels: u64,
-    /// Encode-start instant of the session's first frame; per-session
-    /// wall-clock runs from here to the end of the last frame's encode.
-    first_frame: Option<Instant>,
-    /// The session tier's trace class (`ResolutionTier::class_index`),
-    /// keying its spans into the per-tier stage tables.
-    class: u8,
-    /// Cache counters from previous encoder incarnations (tier sheds
-    /// rebuild the encoder in place; migrations carry these across
-    /// shards). Summed with the live encoder's stats at finalization.
-    carried_cache: BatchCacheStats,
-    /// Frames/pixels already attributed to previous shards' reports.
-    counted_frames: u64,
-    counted_pixels: u64,
+    state: SessionCarry,
 }
 
 /// Builds a session's encoder from the service config plus the session
 /// profile's overrides, returning it with the effective tile size (which
-/// the wire header / tier-change record reports). Called at open, resume
-/// and retier — always from the session's *current* config, never from
-/// carried state, so every incarnation is a pure function of the config.
+/// the wire header / tier-change record reports). Always built from the
+/// session's *current* config, never from carried state, so every
+/// incarnation is a pure function of the config.
 fn encoder_for(
     service: &ServiceConfig,
     config: &SessionConfig,
@@ -375,102 +358,68 @@ fn encoder_for(
     (encoder, tile_size)
 }
 
-/// Sums cache counters across encoder incarnations (see
-/// [`WorkerSession::carried_cache`]).
-fn merge_cache(mut base: BatchCacheStats, current: BatchCacheStats) -> BatchCacheStats {
-    base.hits += current.hits;
-    base.misses += current.misses;
-    base.entries += current.entries;
-    base
-}
-
 impl WorkerSession {
-    fn open(id: usize, shard: usize, service: &ServiceConfig, config: &SessionConfig) -> Self {
-        let (encoder, tile_size) = encoder_for(service, config);
-        let header = WireSessionHeader {
-            session: id as u64,
-            tier: config.profile.tier,
-            width: config.dimensions().width,
-            height: config.dimensions().height,
-            tile_size,
-            frame_budget: config.frames(),
-        };
-        let mut session = WorkerSession {
-            encoder,
-            report: SessionReport {
-                session: id,
-                scene: config.scene,
-                tier: config.profile.tier,
-                shard,
-                cancelled: false,
-                throughput: ThroughputReport::default(),
-                cache: BatchCacheStats::default(),
-                temporal: TemporalTotals::default(),
-                stream_digest: FNV_OFFSET_BASIS,
-                payloads: None,
-                wire_stream: None,
-                downgraded_from: None,
-                downgrade_frame: None,
-            },
-            digest: DigestSink::new(service.collect_payloads),
-            wire: service.collect_wire.then(WireSink::new),
-            frame_pixels: config.pixel_cost(),
-            first_frame: None,
-            class: config.profile.tier.class_index(),
-            carried_cache: BatchCacheStats::default(),
-            counted_frames: 0,
-            counted_pixels: 0,
-        };
-        for sink in session.sinks() {
-            sink.start(&header);
-        }
-        session
-    }
-
-    /// Rebuilds a migrated session's worker state from its carry: fresh
-    /// encoder (bit-safe — the cache affects performance, never bits),
-    /// carried-over report, sinks and accounting baselines. Emits no
-    /// header: the source shard already wrote it, and the carried sinks
-    /// hold it.
-    fn resume(shard: usize, service: &ServiceConfig, carry: SessionCarry) -> Self {
-        let SessionCarry {
+    /// Opens a session on `shard` at frame `at`. The encoder is built
+    /// from `config` with its frame counter at `at` and an empty temporal
+    /// reference, so a reopened session's first frame is an intra refresh
+    /// and its keyframe schedule stays a pure function of the absolute
+    /// frame index, exactly like a solo run's.
+    ///
+    /// A fresh session (no `state`) writes its wire header. A carried one
+    /// whose tier differs from `config` (a shed) writes a tier-change
+    /// record at `at` and stamps the downgrade into its report.
+    fn open(shard: usize, service: &ServiceConfig, open: SessionOpen) -> Self {
+        let SessionOpen {
+            id,
             config,
-            frames_done,
-            mut report,
-            digest,
-            wire,
-            first_frame,
-            carried_cache,
-            counted_frames,
-            counted_pixels,
-        } = carry;
-        let (mut encoder, _tile_size) = encoder_for(service, &config);
-        // Seed the temporal frame counter at the resume point. The fresh
-        // encoder's reference history is empty, so the first post-hop frame
-        // is an intra refresh regardless of the keyframe schedule — which
-        // keeps the stream decodable and the keyframe schedule a pure
-        // function of the absolute frame index, exactly like a solo run's.
-        encoder.set_next_frame_index(frames_done);
-        report.shard = shard;
-        WorkerSession {
-            encoder,
-            report,
-            digest,
-            wire,
-            frame_pixels: config.pixel_cost(),
-            first_frame,
-            class: config.profile.tier.class_index(),
-            carried_cache,
-            counted_frames,
-            counted_pixels,
+            at,
+            state,
+        } = open;
+        let (mut encoder, tile_size) = encoder_for(service, &config);
+        encoder.set_next_frame_index(at);
+        let tier = config.profile.tier;
+        let Dimensions { width, height } = config.dimensions();
+        let frame_budget = config.frames();
+        let mut state = match state {
+            Some(state) => *state,
+            None => {
+                let mut state = SessionCarry::new(id, service, config.clone());
+                let header = WireSessionHeader {
+                    session: id as u64,
+                    tier,
+                    width,
+                    height,
+                    tile_size,
+                    frame_budget,
+                };
+                for sink in state.sinks() {
+                    sink.start(&header);
+                }
+                state
+            }
+        };
+        if state.report.tier != tier {
+            // Only the first downgrade is "from" anything the client did
+            // not already know about.
+            let old_tier = state.report.tier;
+            state.report.downgraded_from.get_or_insert(old_tier);
+            state.report.downgrade_frame = Some(at);
+            state.report.tier = tier;
+            let change = WireTierChange {
+                frame_index: at,
+                tier,
+                width,
+                height,
+                tile_size,
+                frame_budget,
+            };
+            for sink in state.sinks() {
+                sink.tier_change(&change);
+            }
         }
-    }
-
-    /// The session's frame sinks: telemetry first, then (when enabled)
-    /// the wire stream. Every encoded frame goes through each.
-    fn sinks(&mut self) -> impl Iterator<Item = &mut dyn FrameSink> {
-        std::iter::once(&mut self.digest as &mut dyn FrameSink)
-            .chain(self.wire.iter_mut().map(|sink| sink as &mut dyn FrameSink))
+        state.config = config;
+        state.report.shard = shard;
+        WorkerSession { encoder, state }
     }
 }
 
@@ -517,26 +466,6 @@ struct RuntimeTracing {
     collected: mpsc::Receiver<ThreadTrace>,
 }
 
-/// Where a migrating session should land: a caller-chosen shard, or
-/// wherever the placement policy puts it once the carry (and with it the
-/// session config) is back — used by [`StreamRuntime::drain_shard`], which
-/// flags the draining shard in the loads it hands the policy.
-#[derive(Clone, Copy)]
-enum MigrateDest {
-    Fixed(usize),
-    Rebalance { draining: usize },
-}
-
-/// Display order of lanes within a shard's group in the final report.
-fn lane_rank(lane: Lane) -> u8 {
-    match lane {
-        Lane::Producer => 0,
-        Lane::Worker => 1,
-        Lane::Control => 2,
-        Lane::Client => 3,
-    }
-}
-
 /// The runtime's handle onto one shard's thread pair.
 struct ShardHandle {
     /// The shard's stable id: assigned at spawn, never reused. With
@@ -546,22 +475,20 @@ struct ShardHandle {
     shard: usize,
     control: ControlSender<ShardControl>,
     queue: QueueStats,
-    /// Sessions placed on the shard and not yet completed; incremented at
-    /// admission (so back-to-back placements see each other) and
-    /// decremented by the worker when a session finalizes.
+    /// Sessions open on the shard; incremented at every open (so
+    /// back-to-back placements see each other) and decremented by the
+    /// worker at every close.
     sessions: Arc<AtomicUsize>,
-    /// Sum of the live sessions' per-frame pixel costs — the
-    /// pixel-weighted twin of `sessions`, maintained on the same schedule
-    /// (added at admission, released at finalization).
+    /// Sum of the open sessions' per-frame pixel costs — the
+    /// pixel-weighted twin of `sessions`, maintained on the same schedule.
     session_pixels: Gauge,
     /// Pixels of rendered frames currently in the render→encode queue —
     /// the pixel-weighted twin of the queue's depth gauge.
     queued_pixels: Gauge,
     /// Pixels the shard is still *due to render*: `pixel_cost ×
-    /// not-yet-rendered frames`, summed over members. Raised at admission
-    /// (and on migration arrival), lowered by the producer per rendered
-    /// frame and on cancel/retier/migrate — the predictive placement
-    /// signal.
+    /// not-yet-rendered frames`, summed over members. Raised at every
+    /// open, lowered by the producer per rendered frame and at every
+    /// cancel or eviction — the predictive placement signal.
     remaining_pixels: Gauge,
     producer: JoinHandle<()>,
     worker: JoinHandle<()>,
@@ -699,12 +626,9 @@ impl StreamRuntime {
         let shards: Vec<ShardHandle> = (0..config.shards)
             .map(|shard| spawn_shard_threads(shard, &config, event_tx.clone(), spec.as_ref()))
             .collect();
-        // The runtime keeps `event_tx` and `spec` alive so shards spawned
-        // later join the same channels; shard-thread health is therefore
-        // detected by join-handle polling, not channel closure.
-        let shard_reports = vec![None; config.shards];
-        let next_shard_index = config.shards;
         StreamRuntime {
+            shard_reports: vec![None; config.shards],
+            next_shard_index: config.shards,
             config,
             placement,
             shards,
@@ -713,14 +637,12 @@ impl StreamRuntime {
             tracing_spec: spec,
             completed: BTreeMap::new(),
             totals: ThroughputReport::default(),
-            shard_reports,
             assignments: BTreeMap::new(),
             retired: BTreeSet::new(),
             churn: ChurnCounters::default(),
             elasticity: ElasticityCounters::default(),
             started: Instant::now(),
             next_id: 0,
-            next_shard_index,
             tracing,
         }
     }
@@ -819,30 +741,40 @@ impl StreamRuntime {
         self.next_id += 1;
         let loads = self.shard_loads();
         let shard = self.placement.place(id, &config, &loads);
-        let handle = self
-            .shards
-            .iter()
-            .find(|handle| handle.shard == shard)
-            .unwrap_or_else(|| panic!("placement chose unknown shard {shard}"));
+        self.mark(Marker::Admit, config.profile.tier.class_index(), id);
+        self.open_on(shard, id, config, 0, None);
+        self.churn.record_admission();
+        id
+    }
+
+    /// Opens session `id` on `shard` at frame `at`, carrying `state` when
+    /// the session is being reopened. Commits the session's load to the
+    /// shard's gauges synchronously, so back-to-back placements see each
+    /// other, and hands the session to the shard's producer.
+    fn open_on(
+        &mut self,
+        shard: usize,
+        id: usize,
+        config: SessionConfig,
+        at: u32,
+        state: Option<Box<SessionCarry>>,
+    ) {
+        let handle = self.handle(shard);
         handle.sessions.fetch_add(1, Ordering::Relaxed);
-        // Commit the pixel weight synchronously with the session count so
-        // cost-aware placement sees back-to-back admissions too.
         handle.session_pixels.add(config.pixel_cost());
         handle
             .remaining_pixels
-            .add(config.pixel_cost() * u64::from(config.frames()));
-        if let Some(tracing) = self.tracing.as_mut() {
-            tracing
-                .control
-                .mark(Marker::Admit, config.profile.tier.class_index(), id as u64);
-        }
+            .add(config.pixel_cost() * u64::from(config.frames().saturating_sub(at)));
         handle
             .control
-            .send(ShardControl::Admit { id, config })
+            .send(ShardControl::Open(SessionOpen {
+                id,
+                config,
+                at,
+                state,
+            }))
             .expect("shard producer exited while the runtime is alive");
         self.assignments.insert(id, shard);
-        self.churn.record_admission();
-        id
     }
 
     /// Retires a session: blocks until its stream completes (it always
@@ -860,11 +792,7 @@ impl StreamRuntime {
     /// Panics if the id was never admitted or was already retired.
     pub fn retire(&mut self, session: usize) -> SessionReport {
         self.begin_retirement(session);
-        if let Some(tracing) = self.tracing.as_mut() {
-            tracing
-                .control
-                .mark(Marker::Retire, CLASS_OTHER, session as u64);
-        }
+        self.mark(Marker::Retire, CLASS_OTHER, session);
         self.await_completion(session)
     }
 
@@ -886,32 +814,37 @@ impl StreamRuntime {
     ///
     /// Panics if the id was never admitted or was already retired.
     pub fn retire_now(&mut self, session: usize) -> SessionReport {
-        self.begin_retirement(session);
-        if let Some(tracing) = self.tracing.as_mut() {
-            tracing
-                .control
-                .mark(Marker::Cancel, CLASS_OTHER, session as u64);
-        }
-        let shard = self.assignments[&session];
+        let shard = self.begin_retirement(session);
+        self.mark(Marker::Cancel, CLASS_OTHER, session);
         self.handle(shard)
             .control
-            .send(ShardControl::Cancel { id: session })
+            .send(ShardControl::Close {
+                id: session,
+                how: CloseMode::Cancel,
+            })
             .expect("shard producer exited while the runtime is alive");
         self.await_completion(session)
     }
 
     /// Shared bookkeeping of [`Self::retire`] / [`Self::retire_now`]:
-    /// validates the id, marks it retired, counts the retirement.
-    fn begin_retirement(&mut self, session: usize) {
-        assert!(
-            self.assignments.contains_key(&session),
-            "session {session} was never admitted"
-        );
+    /// validates the id, marks it retired, counts the retirement, and
+    /// returns the session's shard.
+    fn begin_retirement(&mut self, session: usize) -> usize {
+        let shard = self.admitted_on(session);
         assert!(
             self.retired.insert(session),
             "session {session} was already retired"
         );
         self.churn.record_retirement();
+        shard
+    }
+
+    /// Marks a control-plane action on the control trace lane, when
+    /// tracing is on.
+    fn mark(&mut self, marker: Marker, class: u8, id: usize) {
+        if let Some(tracing) = self.tracing.as_mut() {
+            tracing.control.mark(marker, class, id as u64);
+        }
     }
 
     /// Blocks until the next event arrives, panicking if a serving shard
@@ -920,24 +853,30 @@ impl StreamRuntime {
     /// itself never closes).
     fn recv_event(&mut self) -> RuntimeEvent {
         loop {
-            match self.events.recv_timeout(EVENT_POLL) {
-                Ok(event) => return event,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if let Some(dead) = self
-                        .shards
-                        .iter()
-                        .find(|handle| handle.producer.is_finished() || handle.worker.is_finished())
-                    {
-                        panic!(
-                            "shard {} thread exited while the runtime is alive \
-                             (see the shard thread's panic output above)",
-                            dead.shard
-                        );
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    unreachable!("the runtime holds an event sender")
-                }
+            if let Some(event) = self.poll_event() {
+                return event;
+            }
+            if let Some(dead) = self
+                .shards
+                .iter()
+                .find(|handle| handle.producer.is_finished() || handle.worker.is_finished())
+            {
+                panic!(
+                    "shard {} thread exited while the runtime is alive \
+                     (see the shard thread's panic output above)",
+                    dead.shard
+                );
+            }
+        }
+    }
+
+    /// Waits up to [`EVENT_POLL`] for the next event.
+    fn poll_event(&self) -> Option<RuntimeEvent> {
+        match self.events.recv_timeout(EVENT_POLL) {
+            Ok(event) => Some(event),
+            Err(mpsc::RecvTimeoutError::Timeout) => None,
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                unreachable!("the runtime holds an event sender")
             }
         }
     }
@@ -1008,11 +947,7 @@ impl StreamRuntime {
         );
         self.shards.push(handle);
         self.shard_reports.push(None);
-        if let Some(tracing) = self.tracing.as_mut() {
-            tracing
-                .control
-                .mark(Marker::ShardSpawn, CLASS_OTHER, shard as u64);
-        }
+        self.mark(Marker::ShardSpawn, CLASS_OTHER, shard);
         self.elasticity.record_shard_spawned();
         shard
     }
@@ -1031,10 +966,11 @@ impl StreamRuntime {
     /// Panics if the id is unknown/already drained, if it is the last
     /// serving shard, or if a shard thread panicked.
     pub fn drain_shard(&mut self, shard: usize) -> ShardReport {
-        assert!(
-            self.shards.iter().any(|handle| handle.shard == shard),
-            "shard {shard} is unknown or already drained"
-        );
+        let position = self
+            .shards
+            .iter()
+            .position(|handle| handle.shard == shard)
+            .unwrap_or_else(|| panic!("shard {shard} is unknown or already drained"));
         assert!(self.shards.len() > 1, "cannot drain the last serving shard");
         // Relocate every live member first so their streams continue on
         // the survivors.
@@ -1046,139 +982,47 @@ impl StreamRuntime {
         for id in members {
             // `false` means the session completed in the meantime —
             // nothing left to move.
-            self.migrate_impl(id, MigrateDest::Rebalance { draining: shard });
+            self.reopen(id, None, None);
         }
-        let position = self
-            .shards
-            .iter()
-            .position(|handle| handle.shard == shard)
-            .expect("presence asserted above");
         let handle = self.shards.remove(position);
-        handle.control.send(ShardControl::Shutdown).ok();
-        // Wait for the shard's final report (the worker sends it on exit).
-        while self.shard_reports[shard].is_none() {
-            match self.events.recv_timeout(EVENT_POLL) {
-                Ok(event) => self.absorb(event),
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if handle.worker.is_finished() {
-                        // Clean exits leave the report in the channel
-                        // buffer; a panic leaves nothing — either way the
-                        // joins below settle it.
-                        self.pump_events();
-                        break;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    unreachable!("the runtime holds an event sender")
-                }
-            }
-        }
-        handle.producer.join().expect("shard producer panicked");
-        handle.worker.join().expect("shard worker panicked");
-        if let Some(tracing) = self.tracing.as_mut() {
-            tracing
-                .control
-                .mark(Marker::ShardDrain, CLASS_OTHER, shard as u64);
-        }
+        self.stop_shards(vec![handle]);
+        self.mark(Marker::ShardDrain, CLASS_OTHER, shard);
         self.elasticity.record_shard_drained();
-        self.shard_reports[shard].clone().unwrap_or(ShardReport {
-            shard,
-            ..ShardReport::default()
-        })
+        self.shard_reports[shard]
+            .clone()
+            .expect("a worker reports before it exits")
     }
 
     /// Migrates a live session to the serving shard `to`, blocking until
-    /// the hand-off completes. Returns `false` (without side effects) if
-    /// the session's stream already completed or `to` is its current
-    /// shard.
+    /// the hand-off completes: the session is closed on its shard and
+    /// opened on `to` at its next frame index. Returns `false` (without
+    /// side effects) if the session's stream already completed or `to` is
+    /// its current shard.
     ///
     /// The migrated stream is **bit-identical** to the session's solo
     /// run: the source worker encodes exactly the frames its producer
     /// rendered (the eviction travels the frame queue in order), the
     /// destination rebuilds renderer, gaze trace and encoder purely from
-    /// the session config and resumes at the next frame index, and the
-    /// digest/wire sinks are carried mid-chain. The encoder cache is the
-    /// only state lost, and it never steers an encoded bit (pinned by
-    /// `tests/migration_determinism.rs`).
+    /// the session config, and the digest/wire sinks are carried
+    /// mid-chain. The encoder cache is the only state lost, and it never
+    /// steers an encoded bit (pinned by `tests/migration_determinism.rs`).
     ///
     /// # Panics
     ///
     /// Panics if the session was never admitted or `to` is not a serving
     /// shard.
     pub fn migrate(&mut self, session: usize, to: usize) -> bool {
-        self.migrate_impl(session, MigrateDest::Fixed(to))
-    }
-
-    fn migrate_impl(&mut self, session: usize, dest: MigrateDest) -> bool {
-        assert!(
-            self.assignments.contains_key(&session),
-            "session {session} was never admitted"
-        );
-        self.pump_events();
-        if self.retired.contains(&session) || self.completed.contains_key(&session) {
-            return false;
-        }
-        let from = self.assignments[&session];
-        if let MigrateDest::Fixed(to) = dest {
-            // Validate eagerly: the eviction is irrevocable once sent.
-            let _ = self.handle(to);
-            if to == from {
-                return false;
-            }
-        }
-        self.handle(from)
-            .control
-            .send(ShardControl::Migrate { id: session })
-            .expect("shard producer exited while the runtime is alive");
-        loop {
-            match self.recv_event() {
-                RuntimeEvent::Migrated { id, carry } if id == session => {
-                    let to = match dest {
-                        MigrateDest::Fixed(to) => to,
-                        MigrateDest::Rebalance { draining } => {
-                            let mut loads = self.shard_loads();
-                            for load in &mut loads {
-                                if load.shard == draining {
-                                    load.draining = true;
-                                }
-                            }
-                            let to = self.placement.place(session, &carry.config, &loads);
-                            assert!(
-                                to != draining,
-                                "placement returned the draining shard {draining}"
-                            );
-                            to
-                        }
-                    };
-                    let handle = self.handle(to);
-                    handle.sessions.fetch_add(1, Ordering::Relaxed);
-                    handle.session_pixels.add(carry.config.pixel_cost());
-                    handle.remaining_pixels.add(
-                        carry.config.pixel_cost()
-                            * u64::from(carry.config.frames().saturating_sub(carry.frames_done)),
-                    );
-                    let class = carry.config.profile.tier.class_index();
-                    handle
-                        .control
-                        .send(ShardControl::Resume { id: session, carry })
-                        .expect("shard producer exited while the runtime is alive");
-                    if let Some(tracing) = self.tracing.as_mut() {
-                        tracing.control.mark(Marker::Migrate, class, session as u64);
-                    }
-                    self.assignments.insert(session, to);
-                    self.elasticity.record_migration();
-                    return true;
-                }
-                RuntimeEvent::MigrateRefused { id } if id == session => return false,
-                event => self.absorb(event),
-            }
-        }
+        let from = self.admitted_on(session);
+        // Validate eagerly: the eviction is irrevocable once sent.
+        let _ = self.handle(to);
+        from != to && self.reopen(session, Some(to), None)
     }
 
     /// Downgrades a live session to `profile` mid-stream (tier shed:
-    /// quality for throughput). Returns `false` if the session's stream
-    /// already completed. Does not block: the downgrade lands on the
-    /// shard threads asynchronously; the session's report will carry
+    /// quality for throughput), blocking until the downgrade lands: the
+    /// session is closed on its shard and opened there again at its next
+    /// frame index under `profile`. Returns `false` if the session's
+    /// stream already completed. The session's report carries
     /// [`SessionReport::downgraded_from`] and
     /// [`SessionReport::downgrade_frame`], and its wire stream a
     /// tier-change record at that frame.
@@ -1193,28 +1037,84 @@ impl StreamRuntime {
     ///
     /// Panics if the session was never admitted.
     pub fn shed(&mut self, session: usize, profile: SessionProfile) -> bool {
-        assert!(
-            self.assignments.contains_key(&session),
-            "session {session} was never admitted"
-        );
+        let shard = self.admitted_on(session);
+        self.reopen(session, Some(shard), Some(profile))
+    }
+
+    /// The shard a session was last opened on; panics for unknown ids.
+    fn admitted_on(&self, session: usize) -> usize {
+        *self
+            .assignments
+            .get(&session)
+            .unwrap_or_else(|| panic!("session {session} was never admitted"))
+    }
+
+    /// The one reopen path behind [`Self::migrate`], [`Self::shed`] and
+    /// [`Self::drain_shard`]: closes a live session with `Evict`, waits
+    /// for its state, and opens it again at the next frame index — on
+    /// `to`, or where placement puts it (with the current shard flagged
+    /// draining) when `to` is `None`, and under `profile` when given (a
+    /// shed). Returns `false` if the stream completed first.
+    fn reopen(
+        &mut self,
+        session: usize,
+        to: Option<usize>,
+        profile: Option<SessionProfile>,
+    ) -> bool {
         self.pump_events();
         if self.retired.contains(&session) || self.completed.contains_key(&session) {
             return false;
         }
-        let shard = self.assignments[&session];
-        if let Some(tracing) = self.tracing.as_mut() {
-            tracing
-                .control
-                .mark(Marker::Shed, profile.tier.class_index(), session as u64);
-        }
-        self.handle(shard)
+        let from = self.assignments[&session];
+        self.handle(from)
             .control
-            .send(ShardControl::Retier {
+            .send(ShardControl::Close {
                 id: session,
-                profile,
+                how: CloseMode::Evict,
             })
             .expect("shard producer exited while the runtime is alive");
-        self.elasticity.record_shed();
+        let state = loop {
+            match self.recv_event() {
+                RuntimeEvent::Closed {
+                    id,
+                    how: CloseMode::Evict,
+                    state,
+                } if id == session => break state,
+                event => {
+                    // A completion that raced the eviction ends the wait.
+                    let raced = matches!(&event, RuntimeEvent::Closed { id, .. } if *id == session);
+                    self.absorb(event);
+                    if raced {
+                        return false;
+                    }
+                }
+            }
+        };
+        // Every rendered frame precedes the `Close` in the queue, so the
+        // carried report has counted exactly the frames streamed so far.
+        let at = state.report.throughput.frames as u32;
+        let config = match profile {
+            Some(profile) => state.config.clone().with_profile(profile),
+            None => state.config.clone(),
+        };
+        let to = to.unwrap_or_else(|| {
+            let mut loads = self.shard_loads();
+            for load in &mut loads {
+                load.draining = load.shard == from;
+            }
+            let to = self.placement.place(session, &config, &loads);
+            assert!(to != from, "placement returned the draining shard {from}");
+            to
+        });
+        let marker = if profile.is_some() {
+            self.elasticity.record_shed();
+            Marker::Shed
+        } else {
+            self.elasticity.record_migration();
+            Marker::Migrate
+        };
+        self.mark(marker, config.profile.tier.class_index(), session);
+        self.open_on(to, session, config, at, Some(state));
         true
     }
 
@@ -1228,55 +1128,15 @@ impl StreamRuntime {
     ///
     /// Propagates panics from shard threads.
     pub fn shutdown(mut self) -> ServiceReport {
-        for handle in &self.shards {
-            handle.control.send(ShardControl::Shutdown).ok();
-        }
         let handles = std::mem::take(&mut self.shards);
-        let mut pending_shards = handles.len();
-        while pending_shards > 0 {
-            match self.events.recv_timeout(EVENT_POLL) {
-                Ok(event) => {
-                    if matches!(event, RuntimeEvent::ShardDone(_)) {
-                        pending_shards -= 1;
-                    }
-                    self.absorb(event);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    // Workers send their report before exiting, so once
-                    // every worker is finished the reports (if any) are
-                    // already buffered. A report still missing after the
-                    // flush means a worker panicked: fall through to the
-                    // joins to surface it.
-                    if handles.iter().all(|handle| handle.worker.is_finished()) {
-                        self.pump_events();
-                        break;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        // The control lane reports one past the highest shard id ever
-        // spawned, so drained shards keep their own trace groups.
-        let control_lane_index = self.next_shard_index;
-        for handle in handles {
-            drop(handle.control);
-            handle.producer.join().expect("shard producer panicked");
-            handle.worker.join().expect("shard worker panicked");
-        }
-
+        self.stop_shards(handles);
         let sessions: Vec<SessionReport> =
             std::mem::take(&mut self.completed).into_values().collect();
         let mut totals = self.totals;
         totals.wall_seconds = self.started.elapsed().as_secs_f64();
         let shards = std::mem::take(&mut self.shard_reports)
             .into_iter()
-            .enumerate()
-            .map(|(shard, report)| {
-                report.unwrap_or(ShardReport {
-                    shard,
-                    ..ShardReport::default()
-                })
-            })
+            .map(|report| report.expect("a worker reports before it exits"))
             .collect();
         // Every pipeline thread has been joined, so every sealed trace is
         // already sitting in the channel; drain without blocking.
@@ -1291,13 +1151,16 @@ impl StreamRuntime {
                 report.threads.push(thread);
             }
             // The control plane reports as its own lane, one past the
-            // last shard.
+            // highest shard id ever spawned, so drained shards keep their
+            // own trace groups.
             report
                 .threads
-                .push(control.into_thread(control_lane_index, Lane::Control));
+                .push(control.into_thread(self.next_shard_index, Lane::Control));
+            // Within a shard's group, lanes sort in declaration order:
+            // producer, worker, control, client.
             report
                 .threads
-                .sort_by_key(|thread| (thread.shard, lane_rank(thread.lane)));
+                .sort_by_key(|thread| (thread.shard, thread.lane as u8));
             report
         });
         ServiceReport {
@@ -1307,6 +1170,39 @@ impl StreamRuntime {
             churn: self.churn,
             elasticity: self.elasticity,
             trace,
+        }
+    }
+
+    /// Winds shards down: sends each one `Shutdown` (its members finish
+    /// their frame budgets first), absorbs events until every worker has
+    /// reported, and joins the threads.
+    ///
+    /// # Panics
+    ///
+    /// Propagates panics from shard threads.
+    fn stop_shards(&mut self, handles: Vec<ShardHandle>) {
+        for handle in &handles {
+            handle.control.send(ShardControl::Shutdown).ok();
+        }
+        while handles
+            .iter()
+            .any(|handle| self.shard_reports[handle.shard].is_none())
+        {
+            if let Some(event) = self.poll_event() {
+                self.absorb(event);
+            } else if handles.iter().all(|handle| handle.worker.is_finished()) {
+                // Workers send their report before exiting, so once every
+                // worker is finished the reports (if any) are already
+                // buffered. A report still missing after the flush means
+                // a worker panicked: fall through to the joins to surface
+                // it.
+                self.pump_events();
+                break;
+            }
+        }
+        for handle in handles {
+            handle.producer.join().expect("shard producer panicked");
+            handle.worker.join().expect("shard worker panicked");
         }
     }
 
@@ -1320,7 +1216,15 @@ impl StreamRuntime {
 
     fn absorb(&mut self, event: RuntimeEvent) {
         match event {
-            RuntimeEvent::SessionDone(report) => {
+            // At most one eviction is ever in flight (the runtime is
+            // single-threaded and `reopen` consumes its eviction before
+            // returning), so evictions never reach the generic path.
+            RuntimeEvent::Closed {
+                how: CloseMode::Evict,
+                ..
+            } => unreachable!("evictions are consumed by the reopen wait"),
+            RuntimeEvent::Closed { how, state, .. } => {
+                let report = state.seal(how == CloseMode::Cancel);
                 self.churn.record_completion();
                 if report.cancelled {
                     self.churn.record_cancellation();
@@ -1332,12 +1236,6 @@ impl StreamRuntime {
                 let slot = &mut self.shard_reports[report.shard];
                 debug_assert!(slot.is_none(), "shard {} reported twice", report.shard);
                 *slot = Some(report);
-            }
-            // Exactly one migration is ever in flight (the runtime is
-            // single-threaded and migrate_impl consumes its response
-            // before returning), so these never reach the generic path.
-            RuntimeEvent::Migrated { .. } | RuntimeEvent::MigrateRefused { .. } => {
-                unreachable!("migration responses are consumed by the migration wait loop")
             }
         }
     }
@@ -1374,7 +1272,6 @@ fn spawn_shard_threads(
             let links = ProducerLinks {
                 control: control_rx,
                 jobs: job_tx,
-                events: events.clone(),
                 queued_pixels: queued_pixels.clone(),
                 remaining_pixels: remaining_pixels.clone(),
                 recycle: recycle_rx,
@@ -1392,11 +1289,9 @@ fn spawn_shard_threads(
             let links = WorkerLinks {
                 jobs: job_rx,
                 queue: queue.clone(),
-                gauges: WorkerGauges {
-                    sessions: Arc::clone(&sessions),
-                    session_pixels: session_pixels.clone(),
-                    queued_pixels: queued_pixels.clone(),
-                },
+                sessions: Arc::clone(&sessions),
+                session_pixels: session_pixels.clone(),
+                queued_pixels: queued_pixels.clone(),
                 events,
                 recycle: recycle_tx,
                 render_nanos,
@@ -1418,99 +1313,40 @@ fn spawn_shard_threads(
     }
 }
 
-/// The pixels a member session is still due to render.
-fn session_remaining_pixels(session: &ProducerSession) -> u64 {
-    session.config.pixel_cost() * u64::from(session.config.frames().saturating_sub(session.next))
-}
-
-/// Hard-cancels `id` on the producer side: stops rendering its remaining
-/// frames and tells the worker to finalize a partial, `cancelled` report.
-/// A no-op when the session is not (or no longer) a member — its `Close`
-/// has already been sent and its report will arrive complete.
+/// Applies one control message to the producer's member sessions.
+/// `Open` is forwarded to the worker at once, ahead of any frame of the
+/// session; `Close` stops rendering a member and queues its `Close`
+/// behind every frame already rendered.
 ///
 /// Returns `Err` when the worker is gone (queue closed) and the producer
 /// should stop.
-fn cancel_session(
+fn apply(
+    message: ShardControl,
     active: &mut Vec<ProducerSession>,
-    id: usize,
+    draining: &mut bool,
     links: &ProducerLinks,
 ) -> Result<(), ()> {
-    let Some(position) = active.iter().position(|session| session.id == id) else {
-        return Ok(());
+    let job = match message {
+        ShardControl::Open(open) => {
+            active.push(ProducerSession::open(open.id, open.config.clone(), open.at));
+            ShardJob::Open(open)
+        }
+        ShardControl::Close { id, how } => {
+            let Some(position) = active.iter().position(|session| session.id == id) else {
+                return Ok(());
+            };
+            let session = active.remove(position);
+            let unrendered = session.config.frames().saturating_sub(session.next);
+            let pixels = session.config.pixel_cost() * u64::from(unrendered);
+            links.remaining_pixels.sub(pixels);
+            ShardJob::Close { id, how }
+        }
+        ShardControl::Shutdown => {
+            *draining = true;
+            return Ok(());
+        }
     };
-    // The worker still owes the runtime a report for this session even if
-    // no frame was ever sent; send_first opens it so the Cancel below
-    // finalizes an (empty) cancelled one.
-    send_first(&mut active[position], &links.jobs)?;
-    let session = active.remove(position);
-    links
-        .remaining_pixels
-        .sub(session_remaining_pixels(&session));
-    links.jobs.send(ShardJob::Cancel { id }).map_err(|_| ())
-}
-
-/// Downgrades member `id` to `profile`: re-derives its renderer and gaze
-/// trace from the new profile (keeping the current frame index, now under
-/// the new numbering) and tells the worker — through the frame queue, so
-/// the change lands behind every old-profile frame — to rebuild the
-/// encoder and stamp a tier-change record. A no-op for non-members.
-///
-/// Returns `Err` when the worker is gone and the producer should stop.
-fn retier_session(
-    active: &mut [ProducerSession],
-    id: usize,
-    profile: SessionProfile,
-    links: &ProducerLinks,
-) -> Result<(), ()> {
-    let Some(session) = active.iter_mut().find(|session| session.id == id) else {
-        return Ok(());
-    };
-    send_first(session, &links.jobs)?;
-    links
-        .remaining_pixels
-        .sub(session_remaining_pixels(session));
-    let next = session.next;
-    let config = session.config.clone().with_profile(profile);
-    *session = ProducerSession::admit(id, config.clone());
-    session.next = next;
-    session.opened = true;
-    links
-        .remaining_pixels
-        .add(session_remaining_pixels(session));
-    links
-        .jobs
-        .send(ShardJob::Retier { id, config })
-        .map_err(|_| ())
-}
-
-/// Evicts member `id` for migration: stops rendering it and asks the
-/// worker — again through the frame queue, behind every frame already
-/// rendered — to package the session's carry. Non-members are refused
-/// straight back to the runtime (their stream already completed).
-///
-/// Returns `Err` when the worker is gone and the producer should stop.
-fn migrate_session(
-    active: &mut Vec<ProducerSession>,
-    id: usize,
-    links: &ProducerLinks,
-) -> Result<(), ()> {
-    let Some(position) = active.iter().position(|session| session.id == id) else {
-        links.events.send(RuntimeEvent::MigrateRefused { id }).ok();
-        return Ok(());
-    };
-    send_first(&mut active[position], &links.jobs)?;
-    let session = active.remove(position);
-    links
-        .remaining_pixels
-        .sub(session_remaining_pixels(&session));
-    links
-        .jobs
-        .send(ShardJob::Migrate {
-            id,
-            config: session.config,
-            next: session.next,
-        })
-        .map_err(|_| ())
+    links.jobs.send(job).map_err(|_| ())
 }
 
 /// Everything one producer thread owns, bundled so the tracing kit and
@@ -1519,12 +1355,9 @@ fn migrate_session(
 struct ProducerLinks {
     control: ControlReceiver<ShardControl>,
     jobs: BoundedSender<ShardJob>,
-    /// For answering [`ShardControl::Migrate`] of a non-member directly
-    /// (the worker never hears about those).
-    events: mpsc::Sender<RuntimeEvent>,
     queued_pixels: Gauge,
-    /// Work still due: lowered per rendered frame and adjusted on
-    /// cancel/retier/migrate; the runtime raises it at admission/arrival.
+    /// Work still due: lowered per rendered frame and at every cancel or
+    /// eviction; the runtime raises it at every open.
     remaining_pixels: Gauge,
     recycle: mpsc::Receiver<LinearFrame>,
     frame_pool_cap: usize,
@@ -1564,50 +1397,23 @@ fn producer_loop(links: &mut ProducerLinks) {
     loop {
         // Idle: sleep on the control channel rather than spinning.
         while active.is_empty() && !draining {
-            match links.control.wait() {
-                Some(ShardControl::Admit { id, config }) => {
-                    active.push(ProducerSession::admit(id, config));
-                }
-                Some(ShardControl::Resume { id, carry }) => {
-                    active.push(ProducerSession::resume(id, carry));
-                }
-                // No member can match a Cancel or Retier while idle: the
-                // session already closed and its report is (or will be)
-                // complete.
-                Some(ShardControl::Cancel { .. }) | Some(ShardControl::Retier { .. }) => {}
-                // Likewise a Migrate of a non-member: refuse it so the
-                // waiting runtime unblocks.
-                Some(ShardControl::Migrate { id }) => {
-                    links.events.send(RuntimeEvent::MigrateRefused { id }).ok();
-                }
-                Some(ShardControl::Shutdown) | None => draining = true,
+            let Some(message) = links.control.wait() else {
+                draining = true;
+                break;
+            };
+            if apply(message, &mut active, &mut draining, links).is_err() {
+                return;
             }
         }
         // Busy: absorb whatever commands piled up, without blocking.
         loop {
             match links.control.poll() {
-                ControlPoll::Message(ShardControl::Admit { id, config }) => {
-                    active.push(ProducerSession::admit(id, config));
-                }
-                ControlPoll::Message(ShardControl::Resume { id, carry }) => {
-                    active.push(ProducerSession::resume(id, carry));
-                }
-                ControlPoll::Message(ShardControl::Cancel { id }) => {
-                    if cancel_session(&mut active, id, links).is_err() {
+                ControlPoll::Message(message) => {
+                    if apply(message, &mut active, &mut draining, links).is_err() {
                         return;
                     }
                 }
-                ControlPoll::Message(ShardControl::Retier { id, profile }) => {
-                    if retier_session(&mut active, id, profile, links).is_err() {
-                        return;
-                    }
-                }
-                ControlPoll::Message(ShardControl::Migrate { id }) => {
-                    if migrate_session(&mut active, id, links).is_err() {
-                        return;
-                    }
-                }
-                ControlPoll::Message(ShardControl::Shutdown) | ControlPoll::Closed => {
+                ControlPoll::Closed => {
                     draining = true;
                     break;
                 }
@@ -1639,9 +1445,6 @@ fn producer_loop(links: &mut ProducerLinks) {
         while index < active.len() {
             let finished = {
                 let session = &mut active[index];
-                if send_first(session, &links.jobs).is_err() {
-                    return;
-                }
                 if session.next < session.config.frames() {
                     let t = session.next;
                     let mut frame = pool.pop().unwrap_or_else(|| {
@@ -1689,7 +1492,11 @@ fn producer_loop(links: &mut ProducerLinks) {
                 // `remove` (not swap_remove) keeps the round-robin order of
                 // the remaining sessions stable.
                 let done = active.remove(index);
-                if links.jobs.send(ShardJob::Close { id: done.id }).is_err() {
+                let close = ShardJob::Close {
+                    id: done.id,
+                    how: CloseMode::Complete,
+                };
+                if links.jobs.send(close).is_err() {
                     return;
                 }
             } else {
@@ -1699,20 +1506,16 @@ fn producer_loop(links: &mut ProducerLinks) {
     }
 }
 
-/// The shard-load gauges the worker releases as sessions and frames pass
-/// through it; the admission side raises them.
-struct WorkerGauges {
-    sessions: Arc<AtomicUsize>,
-    session_pixels: Gauge,
-    queued_pixels: Gauge,
-}
-
 /// Everything one worker thread owns besides its encoder state, bundled
 /// like [`ProducerLinks`] to keep the thread function's signature flat.
 struct WorkerLinks {
     jobs: BoundedReceiver<ShardJob>,
     queue: QueueStats,
-    gauges: WorkerGauges,
+    /// The shard-load gauges the worker releases as sessions and frames
+    /// pass through it; the runtime and producer raise them.
+    sessions: Arc<AtomicUsize>,
+    session_pixels: Gauge,
+    queued_pixels: Gauge,
     events: mpsc::Sender<RuntimeEvent>,
     recycle: mpsc::Sender<LinearFrame>,
     /// The producer's accumulated render time; read once at exit (the
@@ -1721,10 +1524,10 @@ struct WorkerLinks {
     tracing: Option<ShardTracing>,
 }
 
-/// The worker loop: drains the frame queue in arrival order, encoding each
-/// frame with its session's own encoder, and finalizes session reports on
-/// `Close` (complete) or `Cancel` (partial, flagged cancelled). Exits when
-/// the producer drops its sender and the queue drains.
+/// The worker loop: drains the frame queue in arrival order, opening
+/// sessions on `Open`, encoding each frame with its session's own encoder,
+/// and handing each session's state back to the runtime on `Close`. Exits
+/// when the producer drops its sender and the queue drains.
 ///
 /// One [`StreamScratch`] and one bitstream buffer serve every session of
 /// the shard for the worker's whole lifetime: the scratch only changes
@@ -1751,12 +1554,18 @@ fn run_worker(shard: usize, config: ServiceConfig, mut links: WorkerLinks) {
     let mut busy_seconds = 0.0f64;
     for job in links.jobs.iter() {
         match job {
-            ShardJob::Open {
-                id,
-                config: session_config,
-            } => {
-                shard_report.sessions += 1;
-                sessions.insert(id, WorkerSession::open(id, shard, &config, &session_config));
+            ShardJob::Open(open) => {
+                // A reopen on the same shard (a shed) is not a second
+                // session there.
+                if open
+                    .state
+                    .as_ref()
+                    .map_or(true, |state| state.report.shard != shard)
+                {
+                    shard_report.sessions += 1;
+                }
+                let id = open.id;
+                sessions.insert(id, WorkerSession::open(shard, &config, open));
             }
             ShardJob::Frame {
                 id,
@@ -1767,10 +1576,15 @@ fn run_worker(shard: usize, config: ServiceConfig, mut links: WorkerLinks) {
                 let session = sessions
                     .get_mut(&id)
                     .expect("frame for a session that was never opened");
+                let state = &mut session.state;
+                let pixels = state.config.pixel_cost();
+                let class = state.config.profile.tier.class_index();
                 // The frame left the queue: release its pixel weight.
-                links.gauges.queued_pixels.sub(session.frame_pixels);
+                links.queued_pixels.sub(pixels);
+                shard_report.frames += 1;
+                shard_report.pixels += pixels;
                 let encode_start = Instant::now();
-                let first_frame = *session.first_frame.get_or_insert(encode_start);
+                let first_frame = *state.first_frame.get_or_insert(encode_start);
                 let stats = session.encoder.encode_frame_stream_into(
                     &frame,
                     gaze,
@@ -1782,7 +1596,7 @@ fn run_worker(shard: usize, config: ServiceConfig, mut links: WorkerLinks) {
                 // re-rendering (the producer may already be gone at
                 // shutdown, which is fine — the buffer just drops).
                 links.recycle.send(frame).ok();
-                let report = &mut session.report;
+                let report = &mut state.report;
                 // The frame's index within the session, before the
                 // throughput counter moves past it.
                 let frame_index = report.throughput.frames as u32;
@@ -1797,7 +1611,7 @@ fn run_worker(shard: usize, config: ServiceConfig, mut links: WorkerLinks) {
                 report.throughput.record_frame_bits(
                     stats.compression.uncompressed_bits,
                     bitstream.len() as u64,
-                    session.frame_pixels,
+                    pixels,
                 );
                 // Per-session wall-clock: first frame's encode start to the
                 // latest frame's encode end. Refreshed every frame so the
@@ -1806,7 +1620,7 @@ fn run_worker(shard: usize, config: ServiceConfig, mut links: WorkerLinks) {
                 if let Some(tracing) = links.tracing.as_mut() {
                     record_frame_spans(
                         &mut tracing.recorder,
-                        session.class,
+                        class,
                         id as u64,
                         frame_index,
                         enqueued,
@@ -1816,118 +1630,31 @@ fn run_worker(shard: usize, config: ServiceConfig, mut links: WorkerLinks) {
                 }
                 let emit_start = Instant::now();
                 let keyframe = stats.temporal.keyframe;
-                for sink in session.sinks() {
+                for sink in state.sinks() {
                     sink.frame(frame_index, keyframe, &bitstream);
                 }
                 if let Some(tracing) = links.tracing.as_mut() {
                     tracing.recorder.span(
                         Stage::WireEmit,
-                        session.class,
+                        class,
                         id as u64,
                         frame_index,
                         emit_start,
                     );
                 }
             }
-            ShardJob::Close { id } => {
+            ShardJob::Close { id, how } => {
                 let session = sessions
                     .remove(&id)
                     .expect("close for a session that was never opened");
-                finalize(session, &mut shard_report, &links.gauges, &links.events);
-            }
-            ShardJob::Cancel { id } => {
-                let mut session = sessions
-                    .remove(&id)
-                    .expect("cancel for a session that was never opened");
-                session.report.cancelled = true;
-                finalize(session, &mut shard_report, &links.gauges, &links.events);
-            }
-            ShardJob::Retier {
-                id,
-                config: session_config,
-            } => {
-                let session = sessions
-                    .get_mut(&id)
-                    .expect("retier for a session that was never opened");
-                // Every old-profile frame precedes this job in the queue,
-                // so the rebuild lands at exactly the producer's switch
-                // point. Fold the outgoing encoder's cache counters before
-                // replacing it.
-                session.carried_cache =
-                    merge_cache(session.carried_cache, session.encoder.cache_stats());
-                let (mut encoder, tile_size) = encoder_for(&config, &session_config);
-                // The shed rebuild clears the temporal reference (the old
-                // tier's frames have a different geometry anyway), so the
-                // first lower-tier frame is an intra refresh; seeding the
-                // frame counter keeps the keyframe schedule aligned with a
-                // solo run at the lower tier from this index on.
-                encoder.set_next_frame_index(session.report.throughput.frames as u32);
-                session.encoder = encoder;
-                let old_tier = session.report.tier;
-                links.gauges.session_pixels.sub(session.frame_pixels);
-                session.frame_pixels = session_config.pixel_cost();
-                links.gauges.session_pixels.add(session.frame_pixels);
-                session.class = session_config.profile.tier.class_index();
-                session.report.tier = session_config.profile.tier;
-                // Only the first downgrade is "from" anything the client
-                // did not already know about.
-                session.report.downgraded_from.get_or_insert(old_tier);
-                let frame_index = session.report.throughput.frames as u32;
-                session.report.downgrade_frame = Some(frame_index);
-                let change = WireTierChange {
-                    frame_index,
-                    tier: session_config.profile.tier,
-                    width: session_config.dimensions().width,
-                    height: session_config.dimensions().height,
-                    tile_size,
-                    frame_budget: session_config.frames(),
-                };
-                for sink in session.sinks() {
-                    sink.tier_change(&change);
-                }
-            }
-            ShardJob::Migrate {
-                id,
-                config: session_config,
-                next,
-            } => {
-                let session = sessions
-                    .remove(&id)
-                    .expect("migrate for a session that was never opened");
-                // Attribute the frames encoded here to this shard before
-                // the session leaves; the destination claims only its own
-                // share via the carried baselines.
-                shard_report.frames += session.report.throughput.frames - session.counted_frames;
-                shard_report.pixels += session.report.throughput.pixels - session.counted_pixels;
-                let counted_frames = session.report.throughput.frames;
-                let counted_pixels = session.report.throughput.pixels;
-                let carried_cache =
-                    merge_cache(session.carried_cache, session.encoder.cache_stats());
-                links.gauges.sessions.fetch_sub(1, Ordering::Relaxed);
-                links.gauges.session_pixels.sub(session.frame_pixels);
-                let carry = Box::new(SessionCarry {
-                    config: session_config,
-                    frames_done: next,
-                    report: session.report,
-                    digest: session.digest,
-                    wire: session.wire,
-                    first_frame: session.first_frame,
-                    carried_cache,
-                    counted_frames,
-                    counted_pixels,
-                });
-                links.events.send(RuntimeEvent::Migrated { id, carry }).ok();
-            }
-            ShardJob::Resume { id, carry } => {
-                shard_report.sessions += 1;
-                sessions.insert(id, WorkerSession::resume(shard, &config, *carry));
+                close(id, session, how, &links);
             }
         }
     }
     // The producer only exits without closing every session while
-    // unwinding; finalize leftovers so retirees are not stranded.
-    for (_, session) in std::mem::take(&mut sessions) {
-        finalize(session, &mut shard_report, &links.gauges, &links.events);
+    // unwinding; close leftovers so retirees are not stranded.
+    for (id, session) in std::mem::take(&mut sessions) {
+        close(id, session, CloseMode::Complete, &links);
     }
     shard_report.busy_seconds = busy_seconds;
     shard_report.render_seconds = links.render_nanos.load(Ordering::Relaxed) as f64 / 1e9;
@@ -1935,10 +1662,6 @@ fn run_worker(shard: usize, config: ServiceConfig, mut links: WorkerLinks) {
     shard_report.queue_stalls = links.queue.stalls();
     shard_report.queue_enqueued = links.queue.enqueued();
     shard_report.queue_peak_depth = links.queue.peak_depth();
-    // The stats are captured; start a fresh peak epoch so nothing that
-    // reuses the queue's stats handle inherits this lifetime's high-water
-    // mark (a drained shard must not leak into its replacement's report).
-    links.queue.reset_peak_depth();
     links
         .events
         .send(RuntimeEvent::ShardDone(shard_report))
@@ -1961,64 +1684,39 @@ fn record_frame_spans(
     encode_start: Instant,
     timing: pvc_core::StageNanos,
 ) {
+    // The ladder is chained: each stage starts where the previous ended.
     let epoch = recorder.epoch();
-    let enqueued_at = epoch.nanos_since(enqueued);
-    let dequeued_at = epoch.nanos_since(encode_start);
-    recorder.span_nanos(
-        Stage::QueueWait,
-        class,
-        session,
-        frame,
-        enqueued_at,
-        dequeued_at.saturating_sub(enqueued_at),
-    );
-    recorder.span_nanos(
-        Stage::Adjust,
-        class,
-        session,
-        frame,
-        dequeued_at,
-        timing.adjust,
-    );
-    let gamma_at = dequeued_at + timing.adjust;
-    recorder.span_nanos(Stage::Gamma, class, session, frame, gamma_at, timing.gamma);
-    let bd_at = gamma_at + timing.gamma;
-    recorder.span_nanos(
-        Stage::BdEncode,
-        class,
-        session,
-        frame,
-        bd_at,
-        timing.bd_encode,
-    );
+    let mut at = epoch.nanos_since(enqueued);
+    let queue_wait = epoch.nanos_since(encode_start).saturating_sub(at);
+    for (stage, nanos) in [
+        (Stage::QueueWait, queue_wait),
+        (Stage::Adjust, timing.adjust),
+        (Stage::Gamma, timing.gamma),
+        (Stage::BdEncode, timing.bd_encode),
+    ] {
+        recorder.span_nanos(stage, class, session, frame, at, nanos);
+        at += nanos;
+    }
 }
 
-/// Seals a session's report, releases its shard-load gauges, and hands it
-/// back to the runtime.
-fn finalize(
-    mut session: WorkerSession,
-    shard_report: &mut ShardReport,
-    gauges: &WorkerGauges,
-    events: &mpsc::Sender<RuntimeEvent>,
-) {
-    let cancelled = session.report.cancelled;
-    for sink in session.sinks() {
-        sink.finish(cancelled);
-    }
-    session.report.stream_digest = session.digest.digest();
-    session.report.payloads = session.digest.take_payloads();
-    session.report.wire_stream = session.wire.take().map(WireSink::into_bytes);
-    // Cache counters span every encoder incarnation (sheds, migrations);
-    // for a session that never changed tier or shard the carried part is
-    // zero and this is exactly the live encoder's stats.
-    session.report.cache = merge_cache(session.carried_cache, session.encoder.cache_stats());
-    // Migrated-in sessions only credit this shard with the frames encoded
-    // here; previous shards already claimed theirs.
-    shard_report.frames += session.report.throughput.frames - session.counted_frames;
-    shard_report.pixels += session.report.throughput.pixels - session.counted_pixels;
-    gauges.sessions.fetch_sub(1, Ordering::Relaxed);
-    gauges.session_pixels.sub(session.frame_pixels);
-    events.send(RuntimeEvent::SessionDone(session.report)).ok();
+/// Closes a session on this worker: adds its encoder's cache counters to
+/// the report (each open builds a fresh encoder, so the report sums every
+/// incarnation), releases its shard-load gauges, and hands its state back
+/// to the runtime.
+fn close(id: usize, session: WorkerSession, how: CloseMode, links: &WorkerLinks) {
+    let WorkerSession { encoder, mut state } = session;
+    let stats = encoder.cache_stats();
+    let cache = &mut state.report.cache;
+    cache.hits += stats.hits;
+    cache.misses += stats.misses;
+    cache.entries += stats.entries;
+    links.sessions.fetch_sub(1, Ordering::Relaxed);
+    links.session_pixels.sub(state.config.pixel_cost());
+    let state = Box::new(state);
+    links
+        .events
+        .send(RuntimeEvent::Closed { id, how, state })
+        .ok();
 }
 
 #[cfg(test)]
@@ -2105,13 +1803,20 @@ mod tests {
     fn static_assignments_are_modulo_and_observable() {
         let mut runtime = StreamRuntime::start_static(ServiceConfig::default().with_shards(3));
         for index in 0..6 {
-            let id = runtime.admit(SessionConfig::synthetic(index, dims(), 1));
+            let id = runtime.admit(SessionConfig::synthetic(index, dims(), 3));
             assert_eq!(runtime.assignment(id), Some(id % 3));
         }
         assert_eq!(runtime.assignment(99), None);
         let report = runtime.shutdown();
         for session in &report.sessions {
             assert_eq!(session.shard, session.session % 3);
+        }
+        for shard in &report.shards {
+            assert_eq!(
+                shard.queue_enqueued,
+                2 * 3 + 2 * 2,
+                "two sessions per shard: every frame plus one Open and one Close each"
+            );
         }
     }
 
@@ -2287,6 +1992,16 @@ mod tests {
             400,
             "shard attribution splits at the migration point"
         );
+        let enqueued: u64 = service_report
+            .shards
+            .iter()
+            .map(|shard| shard.queue_enqueued)
+            .sum();
+        assert_eq!(
+            enqueued,
+            400 + 2 + 2,
+            "the move adds exactly one Open and one Close"
+        );
     }
 
     #[test]
@@ -2329,6 +2044,10 @@ mod tests {
         );
         let service_report = runtime.shutdown();
         assert_eq!(service_report.elasticity.shed, 1);
+        assert_eq!(
+            service_report.shards[0].sessions, 1,
+            "a shed reopens on the same shard: not a second session there"
+        );
     }
 
     #[test]

@@ -195,7 +195,10 @@ pub struct ShardReport {
     pub wall_seconds: f64,
     /// Times the producer blocked on a full queue (backpressure events).
     pub queue_stalls: u64,
-    /// Frames ever enqueued on the shard's render→encode queue.
+    /// Jobs ever enqueued on the shard's render→encode queue: every
+    /// frame, plus one `Open` and one `Close` per session opened on the
+    /// shard (a migrated or shed session is opened once more where it
+    /// lands, so each move adds one of each).
     pub queue_enqueued: u64,
     /// High-water mark of the queue's occupancy. A peak pinned at the
     /// configured depth means the producer spent time blocked.

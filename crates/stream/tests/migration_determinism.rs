@@ -12,7 +12,8 @@
 //!   frame. Frames before the downgrade are bit-identical to the solo
 //!   *original*-tier run; frames from the switch on are bit-identical
 //!   to a solo run started directly on `profile.downgraded()`, at the
-//!   same frame indices.
+//!   same frame indices. A migration after the shed keeps the same
+//!   splice, and the wire stream carries exactly one tier-change record.
 //!
 //! Both hold because encoded output is a pure function of
 //! `(scene, seed, profile)` per frame index: migration rebuilds the
@@ -25,7 +26,7 @@ use pvc_core::{EncoderConfig, TemporalConfig};
 use pvc_frame::{Dimensions, SrgbFrame};
 use pvc_stream::{
     LeastLoaded, Placement, PowerOfTwoChoices, Predictive, ResolutionTier, ServiceConfig,
-    SessionConfig, SessionProfile, Static, StreamRuntime, WorkloadMix,
+    SessionConfig, SessionProfile, Static, StreamRuntime, WireReader, WireRecord, WorkloadMix,
 };
 
 /// Co-resident sessions: a heavy-tail mix over eight indices spans all
@@ -66,6 +67,24 @@ fn service_config(temporal: bool) -> ServiceConfig {
     config
 }
 
+/// Blocks until `shard` has rendered part of the `committed` pixel work
+/// its sessions were admitted with. A shard renders its sessions
+/// round-robin in admission order, so once this returns the shard's first
+/// admitted session has rendered a frame, and a verb sent to it next
+/// lands mid-stream rather than before frame 0.
+fn wait_for_rendering(runtime: &StreamRuntime, shard: usize, committed: u64) {
+    let remaining = || {
+        runtime
+            .shard_loads()
+            .into_iter()
+            .find(|load| load.shard == shard)
+            .map_or(0, |load| load.remaining_pixels)
+    };
+    while remaining() >= committed {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
 /// A session's stream when it is the only session on a fresh single-shard
 /// runtime — the ground truth.
 fn solo(config: &SessionConfig, temporal: bool) -> (Payloads, u64) {
@@ -98,6 +117,15 @@ fn migration_run(
         .into_iter()
         .map(|config| runtime.admit(config))
         .collect();
+    // The mover was admitted first, so it is the first session its shard
+    // renders.
+    let from = runtime.assignment(mover).expect("just admitted");
+    let committed: u64 = std::iter::once((mover, mover_config()))
+        .chain(survivor_ids.iter().copied().zip(survivor_configs()))
+        .filter(|&(id, _)| runtime.assignment(id) == Some(from))
+        .map(|(_, config)| config.pixel_cost() * u64::from(config.frames()))
+        .sum();
+    wait_for_rendering(&runtime, from, committed);
 
     let dest = runtime.spawn_shard();
     assert_eq!(dest, shards, "spawned shards take the next stable id");
@@ -115,6 +143,10 @@ fn migration_run(
     let report = runtime.shutdown();
     assert_eq!(report.elasticity.migrated, 1);
     assert_eq!(report.elasticity.shards_spawned, 1);
+    assert!(
+        report.shards[dest].frames < u64::from(MOVER_FRAMES),
+        "the migration landed mid-stream, not before the mover's first frame"
+    );
 
     let mut survivors: Vec<Option<Payloads>> = vec![None; SURVIVORS];
     for session in report.sessions {
@@ -252,34 +284,65 @@ fn shed_stream_splices_the_two_solo_runs_at_the_switch_frame() {
     let (upper_solo, _) = solo(&config, false);
     let (lower_solo, _) = solo(&lower_config, false);
 
-    let mut runtime = StreamRuntime::start_static(service_config(false));
-    let id = runtime.admit(config);
-    assert!(runtime.shed(id, lower), "a live session must shed");
-    let report = runtime.retire(id);
-    runtime.shutdown();
+    for then_migrate in [false, true] {
+        let mut runtime =
+            StreamRuntime::start_static(service_config(false).with_collect_wire(true));
+        let id = runtime.admit(config.clone());
+        wait_for_rendering(
+            &runtime,
+            0,
+            config.pixel_cost() * u64::from(config.frames()),
+        );
+        assert!(runtime.shed(id, lower), "a live session must shed");
+        if then_migrate {
+            let dest = runtime.spawn_shard();
+            assert!(
+                runtime.migrate(id, dest),
+                "the shed session is still streaming"
+            );
+        }
+        let report = runtime.retire(id);
+        runtime.shutdown();
 
-    assert_eq!(report.downgraded_from, Some(ResolutionTier::VisionClass));
-    assert_eq!(report.tier, lower.tier);
-    let switch = report.downgrade_frame.expect("the shed landed mid-stream") as usize;
-    assert!(
-        switch < lower.frames as usize,
-        "the switch frame ({switch}) precedes the downgraded budget ({})",
-        lower.frames
-    );
-    let payloads = report.payloads.expect("collect_payloads was set");
-    assert_eq!(
-        payloads.len(),
-        lower.frames as usize,
-        "the stream finishes on the downgraded frame budget"
-    );
-    assert_eq!(
-        payloads[..switch],
-        upper_solo[..switch],
-        "frames before the downgrade match the solo original-tier run"
-    );
-    assert_eq!(
-        payloads[switch..],
-        lower_solo[switch..],
-        "frames from the switch on match the solo downgraded run at the same indices"
-    );
+        assert_eq!(report.downgraded_from, Some(ResolutionTier::VisionClass));
+        assert_eq!(report.tier, lower.tier);
+        let switch = report.downgrade_frame.expect("the shed landed mid-stream") as usize;
+        assert!(
+            0 < switch && switch < lower.frames as usize,
+            "the switch frame ({switch}) lies after frame 0 and before the \
+             downgraded budget ({})",
+            lower.frames
+        );
+        let payloads = report.payloads.expect("collect_payloads was set");
+        assert_eq!(
+            payloads.len(),
+            lower.frames as usize,
+            "the stream finishes on the downgraded frame budget"
+        );
+        assert_eq!(
+            payloads[..switch],
+            upper_solo[..switch],
+            "migrate {then_migrate}: frames before the downgrade match the solo \
+             original-tier run"
+        );
+        assert_eq!(
+            payloads[switch..],
+            lower_solo[switch..],
+            "migrate {then_migrate}: frames from the switch on match the solo \
+             downgraded run at the same indices"
+        );
+        let wire = report.wire_stream.expect("collect_wire was set");
+        let mut reader = WireReader::new(&wire);
+        let mut tier_changes = Vec::new();
+        while let Some(record) = reader.next_record() {
+            if let WireRecord::TierChange(change) = record.expect("the wire stream parses") {
+                tier_changes.push(change.frame_index as usize);
+            }
+        }
+        assert_eq!(
+            tier_changes,
+            vec![switch],
+            "migrate {then_migrate}: exactly one tier-change record, at the switch"
+        );
+    }
 }

@@ -6,14 +6,15 @@
 //!   never drains the last shard).
 //! * The per-shard commitment gauges (live sessions, committed pixels,
 //!   remaining pixels) return to exactly zero after an
-//!   admit → migrate → retire lifecycle, for arbitrary session shapes —
-//!   the leak-freedom the admission budget depends on.
+//!   admit → migrate → shed → retire (graceful or hard-cancel) lifecycle,
+//!   for arbitrary session shapes and tiers — the leak-freedom the
+//!   admission budget depends on.
 
 use proptest::prelude::*;
 use pvc_frame::Dimensions;
 use pvc_stream::{
-    LeastLoaded, Placement, PowerOfTwoChoices, Predictive, ServiceConfig, SessionConfig, ShardLoad,
-    Static, StreamRuntime,
+    LeastLoaded, Placement, PowerOfTwoChoices, Predictive, ResolutionTier, ServiceConfig,
+    SessionConfig, SessionProfile, ShardLoad, Static, StreamRuntime,
 };
 
 /// Arbitrary fleet snapshots: up to 8 shards with independent gauge
@@ -89,15 +90,30 @@ proptest! {
     fn gauges_return_to_zero_after_admit_migrate_retire(
         frames in 20u32..120,
         side in 8u32..32,
+        tier in 0u32..3,
+        shed in any::<bool>(),
+        cancel in any::<bool>(),
     ) {
+        let dims = Dimensions::new(side, side);
+        let profile = SessionProfile::for_tier(ResolutionTier::ALL[tier as usize], dims, frames);
         let mut runtime = StreamRuntime::start_static(ServiceConfig::default().with_shards(2));
-        let id = runtime.admit(SessionConfig::synthetic(0, Dimensions::new(side, side), frames));
+        let id = runtime.admit(SessionConfig::synthetic(0, dims, frames).with_profile(profile));
         let from = runtime.assignment(id).expect("just admitted");
-        // A fast stream may finish before the verb lands (migrate then
-        // returns false); the gauges must zero out either way.
+        // A fast stream may finish before a verb lands (migrate and shed
+        // then return false); the gauges must zero out either way.
         let _ = runtime.migrate(id, 1 - from);
-        let report = runtime.retire(id);
-        prop_assert_eq!(report.throughput.frames, u64::from(frames));
+        let lower = profile.downgraded().filter(|_| shed);
+        let shed_landed = lower.is_some_and(|lower| runtime.shed(id, lower));
+        let report = if cancel { runtime.retire_now(id) } else { runtime.retire(id) };
+        let budget = match lower {
+            Some(lower) if shed_landed => lower.frames,
+            _ => profile.frames,
+        };
+        if cancel {
+            prop_assert!(report.throughput.frames <= u64::from(budget));
+        } else {
+            prop_assert_eq!(report.throughput.frames, u64::from(budget));
+        }
         for load in runtime.shard_loads() {
             prop_assert_eq!(load.sessions, 0, "live sessions leaked on shard {}", load.shard);
             prop_assert_eq!(load.session_pixels, 0, "committed pixels leaked on shard {}", load.shard);

@@ -80,6 +80,24 @@ fn decode_stream(payloads: &[Vec<u8>]) -> Vec<SrgbFrame> {
         .collect()
 }
 
+/// Blocks until `shard` has rendered part of the `committed` pixel work
+/// its sessions were admitted with. A shard renders its sessions
+/// round-robin in admission order, so once this returns the shard's first
+/// admitted session has rendered a frame, and a verb sent to it next
+/// lands mid-stream rather than before frame 0.
+fn wait_for_rendering(runtime: &StreamRuntime, shard: usize, committed: u64) {
+    let remaining = || {
+        runtime
+            .shard_loads()
+            .into_iter()
+            .find(|load| load.shard == shard)
+            .map_or(0, |load| load.remaining_pixels)
+    };
+    while remaining() >= committed {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn temporal_streams_are_bit_identical_across_shards_and_policies() {
     let baseline = fleet_run(1, Box::new(Static));
@@ -133,12 +151,15 @@ fn shed_temporal_stream_splices_the_solo_runs_at_the_refresh_boundary() {
     let lower_solo = solo(&lower_config);
 
     let mut runtime = StreamRuntime::start_static(temporal_service(1));
+    let committed = config.pixel_cost() * u64::from(config.frames());
     let id = runtime.admit(config);
+    wait_for_rendering(&runtime, 0, committed);
     assert!(runtime.shed(id, lower), "a live session must shed");
     let report = runtime.retire(id);
     runtime.shutdown();
 
     let switch = report.downgrade_frame.expect("the shed landed mid-stream") as usize;
+    assert!(switch > 0, "the shed landed after frame 0");
     let payloads = report.payloads.expect("collect_payloads was set");
     assert_eq!(payloads.len(), lower.frames as usize);
     assert_eq!(
