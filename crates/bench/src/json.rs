@@ -359,6 +359,54 @@ pub fn with_field(mut json: Json, key: &str, value: Json) -> Json {
     json
 }
 
+/// The machine and build a bench ran on, for a `BENCH_*.json` ledger
+/// entry: total and usable cores, the commit (when the source checkout is
+/// a git repository; suffixed `-dirty` when the tree has uncommitted
+/// changes), `rustc --version` and the build profile. A value that cannot
+/// be read is `null`.
+pub fn host_json() -> Json {
+    let usable = std::thread::available_parallelism().map_or(Json::Null, |n| n.get().into());
+    // Linux lists the online CPUs as ranges, e.g. "0-3,6".
+    let cores = std::fs::read_to_string("/sys/devices/system/cpu/online")
+        .ok()
+        .and_then(|list| {
+            list.trim().split(',').try_fold(0usize, |total, range| {
+                let (lo, hi) = range.split_once('-').unwrap_or((range, range));
+                let (lo, hi) = (lo.parse::<usize>().ok()?, hi.parse::<usize>().ok()?);
+                Some(total + hi.checked_sub(lo)? + 1)
+            })
+        })
+        .map_or(Json::Null, Json::from);
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let output = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .current_dir(&root)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map_or(Json::Null, |text| Json::Str(text.trim().to_string()))
+    };
+    let commit = if root.join(".git").exists() {
+        output("git", &["describe", "--always", "--dirty", "--abbrev=40"])
+    } else {
+        Json::Null
+    };
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    object([
+        ("cores", cores),
+        ("usable_cores", usable),
+        ("commit", commit),
+        ("rustc", output("rustc", &["--version"])),
+        ("profile", profile.into()),
+    ])
+}
+
 /// Writes a rendered JSON document (with a trailing newline) to `path`,
 /// creating parent directories as needed.
 ///

@@ -19,7 +19,7 @@
 //! so the substitution is transparent to every downstream crate.
 
 use crate::dkl::{dkl_axis_rgb_gain, DklColor};
-use crate::ellipsoid::{DiscriminationEllipsoid, EllipsoidAxes, EllipsoidLanes};
+use crate::ellipsoid::{DiscriminationEllipsoid, EllipsoidAxes, EllipsoidLanes, RgbAxis};
 use crate::math::{solve_dense, Vec3};
 use crate::srgb::LinearRgb;
 use serde::{Deserialize, Serialize};
@@ -28,10 +28,16 @@ use serde::{Deserialize, Serialize};
 /// beyond this are clamped. Half of a ~110° VR field of view.
 pub const MAX_ECCENTRICITY_DEG: f64 = 55.0;
 
+/// The smallest semi-axis [`SyntheticDiscriminationModel`] returns:
+/// smaller values are raised to it.
+const SEMI_AXIS_FLOOR: f64 = 1e-9;
+
 /// The color discrimination function Φ: `(κ, e) → (a, b, c)` (Eq. 3).
 ///
 /// Implementations must be deterministic and cheap; the encoder evaluates
-/// Φ once per pixel, a tile at a time through [`Self::ellipsoid_lanes`].
+/// Φ once per pixel, a tile at a time: through [`Self::ellipsoid_lanes`],
+/// or, for a model that declares a [`Self::fixed_shape`], through its
+/// per-pixel scales.
 pub trait DiscriminationModel: Send + Sync {
     /// Returns the DKL semi-axes of the discrimination ellipsoid of `color`
     /// viewed at `eccentricity_deg` degrees from fixation.
@@ -73,9 +79,105 @@ pub trait DiscriminationModel: Send + Sync {
         }
     }
 
+    /// Declares that every ellipsoid of this model is one constant shape
+    /// times a per-pixel scale, so its extrema along an RGB axis are
+    /// `rgb ± s · e_axis` (see [`FixedShape`]).
+    ///
+    /// The default, `None`, keeps the general route: the encoder builds
+    /// every pixel's ellipsoid through [`Self::ellipsoid_lanes`]. A model
+    /// that returns a shape promises that, for every pixel whose scale the
+    /// shape [holds at](FixedShape::holds_at), [`Self::ellipsoid`] is the
+    /// unit shape times that scale, centered on the pixel, up to rounding.
+    fn fixed_shape(&self) -> Option<FixedShape<'_>> {
+        None
+    }
+
     /// A short human-readable name for reports.
     fn name(&self) -> &str {
         "discrimination-model"
+    }
+}
+
+/// The per-pixel half of a [`FixedShape`]: how large each pixel's
+/// ellipsoid is.
+pub trait ShapeScale: Sync {
+    /// Writes the scale of every pixel `(r[i], g[i], b[i])` viewed at
+    /// `eccentricity_deg` into `out`, cleared first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three channel lanes have different lengths.
+    fn scales_into(
+        &self,
+        r: &[f64],
+        g: &[f64],
+        b: &[f64],
+        eccentricity_deg: f64,
+        out: &mut Vec<f64>,
+    );
+}
+
+/// What a fixed-shape model declares ([`DiscriminationModel::fixed_shape`]):
+/// every ellipsoid is one unit shape, centered on its pixel and scaled by
+/// the pixel's scale `s`.
+///
+/// Scaling an ellipsoid scales its extremum offsets, so the extrema of a
+/// pixel `p` along an RGB axis are `p ± s · e_axis`. Here `e_axis` is the
+/// high extremum of the unit shape centered at the DKL origin, computed
+/// once with [`DiscriminationEllipsoid::extrema_along_axis`]; its
+/// `axis` component is never negative.
+#[derive(Clone, Copy)]
+pub struct FixedShape<'a> {
+    scale: &'a dyn ShapeScale,
+    extremum_offsets: [Vec3; 3],
+    min_scale: f64,
+    max_scale: f64,
+}
+
+impl<'a> FixedShape<'a> {
+    /// A shape whose unit ellipsoid has the semi-axes `unit_axes` and whose
+    /// per-pixel scales come from `scale`. The model's ellipsoids are the
+    /// unit shape times the scale only for scales in
+    /// `min_scale..=max_scale`, for example above a floor on the semi-axes
+    /// and below their overflow.
+    pub fn new(
+        scale: &'a dyn ShapeScale,
+        unit_axes: EllipsoidAxes,
+        min_scale: f64,
+        max_scale: f64,
+    ) -> Self {
+        let unit = DiscriminationEllipsoid::new(DklColor::default(), unit_axes);
+        FixedShape {
+            scale,
+            extremum_offsets: RgbAxis::ALL.map(|axis| unit.extrema_along_axis(axis).high.to_vec3()),
+            min_scale,
+            max_scale,
+        }
+    }
+
+    /// The extremum offset `e_axis` of the unit shape along `axis`.
+    #[inline]
+    pub fn extremum_offset(&self, axis: RgbAxis) -> Vec3 {
+        self.extremum_offsets[axis.index()]
+    }
+
+    /// True when a pixel of scale `scale` has exactly the declared shape
+    /// (false for NaN).
+    #[inline]
+    pub fn holds_at(&self, scale: f64) -> bool {
+        scale >= self.min_scale && scale <= self.max_scale
+    }
+
+    /// Writes every pixel's scale into `out`; see [`ShapeScale::scales_into`].
+    pub fn scales_into(
+        &self,
+        r: &[f64],
+        g: &[f64],
+        b: &[f64],
+        eccentricity_deg: f64,
+        out: &mut Vec<f64>,
+    ) {
+        self.scale.scales_into(r, g, b, eccentricity_deg, out);
     }
 }
 
@@ -90,8 +192,9 @@ fn assert_channel_lanes_match(r: &[f64], g: &[f64], b: &[f64]) {
     );
 }
 
-// The blanket impls forward `ellipsoid_lanes` too, so a wrapped model keeps
-// its lane build instead of falling back to the per-pixel default.
+// The blanket impls forward `ellipsoid_lanes` and `fixed_shape` too, so a
+// wrapped model keeps its lane build and its shape instead of falling back
+// to the defaults.
 impl<T: DiscriminationModel + ?Sized> DiscriminationModel for &T {
     fn ellipsoid_axes(&self, color: LinearRgb, eccentricity_deg: f64) -> EllipsoidAxes {
         (**self).ellipsoid_axes(color, eccentricity_deg)
@@ -105,6 +208,9 @@ impl<T: DiscriminationModel + ?Sized> DiscriminationModel for &T {
         out: &mut EllipsoidLanes,
     ) {
         (**self).ellipsoid_lanes(r, g, b, eccentricity_deg, out)
+    }
+    fn fixed_shape(&self) -> Option<FixedShape<'_>> {
+        (**self).fixed_shape()
     }
     fn name(&self) -> &str {
         (**self).name()
@@ -124,6 +230,9 @@ impl<T: DiscriminationModel + ?Sized> DiscriminationModel for std::sync::Arc<T> 
         out: &mut EllipsoidLanes,
     ) {
         (**self).ellipsoid_lanes(r, g, b, eccentricity_deg, out)
+    }
+    fn fixed_shape(&self) -> Option<FixedShape<'_>> {
+        (**self).fixed_shape()
     }
     fn name(&self) -> &str {
         (**self).name()
@@ -258,9 +367,9 @@ impl SyntheticDiscriminationModel {
     fn semi_axes(&self, scale: f64, gains: Vec3) -> [f64; 3] {
         let p = &self.params;
         [
-            (scale * p.weight_k1 / gains.x).max(1e-9),
-            (scale * p.weight_k2 / gains.y).max(1e-9),
-            (scale * p.weight_k3 / gains.z).max(1e-9),
+            (scale * p.weight_k1 / gains.x).max(SEMI_AXIS_FLOOR),
+            (scale * p.weight_k2 / gains.y).max(SEMI_AXIS_FLOOR),
+            (scale * p.weight_k3 / gains.z).max(SEMI_AXIS_FLOOR),
         ]
     }
 }
@@ -273,49 +382,64 @@ impl DiscriminationModel for SyntheticDiscriminationModel {
         EllipsoidAxes::new(a, b, c)
     }
 
-    /// The per-pixel path with the per-tile work hoisted: the eccentricity
-    /// clamp and base extent, and the DKL axis gains, are computed once.
-    /// The loop body calls the very helpers (and conversions) the
-    /// per-pixel path calls, on the same values, so every lane holds its
-    /// bits; the semi-axis check runs once over the finished tile.
-    fn ellipsoid_lanes(
+    /// Every ellipsoid is the unit shape `semi_axes(1)` times the pixel's
+    /// `extent_scale`, as long as no semi-axis hits the floor or overflows.
+    /// `None` when a weight is not positive and finite: the floor then
+    /// binds at every scale.
+    fn fixed_shape(&self) -> Option<FixedShape<'_>> {
+        let p = &self.params;
+        let gains = dkl_axis_rgb_gain();
+        let weights = [p.weight_k1, p.weight_k2, p.weight_k3];
+        let unit = [
+            p.weight_k1 / gains.x,
+            p.weight_k2 / gains.y,
+            p.weight_k3 / gains.z,
+        ];
+        if !unit
+            .iter()
+            .chain(&weights)
+            .all(|&x| x > 0.0 && x.is_finite())
+        {
+            return None;
+        }
+        let smallest = unit.iter().copied().fold(f64::INFINITY, f64::min);
+        let largest = unit.iter().chain(&weights).copied().fold(1.0, f64::max);
+        // A factor of two on either side keeps the rounding of
+        // `scale · w / g` clear of the floor and of overflow.
+        Some(FixedShape::new(
+            self,
+            EllipsoidAxes::new(unit[0], unit[1], unit[2]),
+            2.0 * SEMI_AXIS_FLOOR / smallest,
+            f64::MAX / (2.0 * largest),
+        ))
+    }
+
+    fn name(&self) -> &str {
+        "synthetic"
+    }
+}
+
+impl ShapeScale for SyntheticDiscriminationModel {
+    /// The eccentricity's base extent, computed once, times each pixel's
+    /// luminance boost: the `scale` [`DiscriminationModel::ellipsoid_axes`]
+    /// passes to the semi-axes.
+    fn scales_into(
         &self,
         r: &[f64],
         g: &[f64],
         b: &[f64],
         eccentricity_deg: f64,
-        out: &mut EllipsoidLanes,
+        out: &mut Vec<f64>,
     ) {
         assert_channel_lanes_match(r, g, b);
-        let n = r.len();
         let base = self.base_extent(eccentricity_deg);
-        let gains = dkl_axis_rgb_gain();
-        out.resize(n);
-        let EllipsoidLanes {
-            k1,
-            k2,
-            k3,
-            a,
-            b: axis_b,
-            c,
-        } = out;
-        let (k1, k2, k3) = (&mut k1[..n], &mut k2[..n], &mut k3[..n]);
-        let (a, axis_b, c) = (&mut a[..n], &mut axis_b[..n], &mut c[..n]);
-        let (r, g, b) = (&r[..n], &g[..n], &b[..n]);
-        for i in 0..n {
-            let color = LinearRgb::new(r[i], g[i], b[i]);
-            let center = DklColor::from_linear_rgb(color);
-            k1[i] = center.k1;
-            k2[i] = center.k2;
-            k3[i] = center.k3;
-            let scale = self.extent_scale(base, color.luminance());
-            [a[i], axis_b[i], c[i]] = self.semi_axes(scale, gains);
-        }
-        out.assert_axes_positive_and_finite();
-    }
-
-    fn name(&self) -> &str {
-        "synthetic"
+        out.clear();
+        out.extend(
+            r.iter()
+                .zip(g)
+                .zip(b)
+                .map(|((&r, &g), &b)| self.extent_scale(base, LinearRgb::new(r, g, b).luminance())),
+        );
     }
 }
 

@@ -397,30 +397,6 @@ impl EllipsoidLanes {
         self.c.extend(axes.map(|s| s.c));
     }
 
-    /// Resizes every lane to `len` slots; callers overwrite every slot, so
-    /// a same-sized refill skips the zero fill.
-    pub(crate) fn resize(&mut self, len: usize) {
-        for lane in self.lanes_mut() {
-            lane.resize(len, 0.0);
-        }
-    }
-
-    /// [`EllipsoidAxes::new`]'s guarantee, checked once over the whole
-    /// tile: every semi-axis is strictly positive and finite.
-    ///
-    /// # Panics
-    ///
-    /// Panics with `EllipsoidAxes::new`'s message, naming the first
-    /// offending pixel's semi-axes — the panic the per-pixel path raises.
-    pub(crate) fn assert_axes_positive_and_finite(&self) {
-        let valid = |x: f64| x > 0.0 && x.is_finite();
-        let (a, b, c) = (&self.a, &self.b, &self.c);
-        if let Some(i) = (0..a.len()).find(|&i| !(valid(a[i]) && valid(b[i]) && valid(c[i]))) {
-            // Panics: the semi-axes at `i` fail the constructor's check.
-            EllipsoidAxes::new(a[i], b[i], c[i]);
-        }
-    }
-
     fn lanes_mut(&mut self) -> [&mut Vec<f64>; 6] {
         let EllipsoidLanes {
             k1,

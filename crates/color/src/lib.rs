@@ -38,7 +38,7 @@ pub mod math;
 pub mod srgb;
 
 pub use discrimination::{
-    DiscriminationModel, RbfConfig, RbfDiscriminationModel, RbfFitError,
+    DiscriminationModel, FixedShape, RbfConfig, RbfDiscriminationModel, RbfFitError, ShapeScale,
     SyntheticDiscriminationModel, SyntheticModelParams, MAX_ECCENTRICITY_DEG,
 };
 pub use dkl::{dkl_axis_rgb_gain, dkl_to_rgb_matrix, rgb_to_dkl_matrix, DklColor, RGB_TO_DKL};

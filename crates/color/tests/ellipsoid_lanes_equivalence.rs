@@ -10,11 +10,12 @@
 //! quantizer, the min/max reductions and every comparison treat all NaNs
 //! alike.
 //!
-//! The synthetic model overrides the lane build (per-tile work hoisted out
-//! of the pixel loop); the RBF model runs the trait's per-pixel default.
+//! Both models run the trait's per-pixel default today (the synthetic
+//! model's frame path takes its fixed-shape closed form instead, and
+//! builds ellipsoid lanes only for the tiles that form does not cover).
 //! Both are called directly, through `&T`, `Arc<T>` and `Arc<dyn _>`, so
-//! an override whose expression order drifts shows up as a bit difference
-//! whichever way the encoder holds the model. Pixels and
+//! a future override whose expression order drifts shows up as a bit
+//! difference whichever way the encoder holds the model. Pixels and
 //! eccentricities include the values the clamps and the `max(1e-9)` floor
 //! treat specially: NaN, ±0.0, negatives, values above 1 and ±∞.
 

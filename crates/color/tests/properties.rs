@@ -85,18 +85,32 @@ proptest! {
         }
     }
 
+    /// Three routes to the extrema agree: the DKL closed form the general
+    /// route runs, the paper's quadric route, and the fixed-shape closed
+    /// form `c ± s · e_axis` the frame path runs for the synthetic model.
     #[test]
     fn ellipsoid_extrema_quadric_route_agrees(
         c in arb_linear_rgb(),
-        e in 0.0..40.0f64,
+        e in 0.0..=55.0f64,
     ) {
         let model = SyntheticDiscriminationModel::default();
         let ellipsoid = model.ellipsoid(c, e);
-        for axis in [RgbAxis::Blue, RgbAxis::Red] {
-            let a = ellipsoid.extrema_along_axis(axis);
-            let b = ellipsoid.extrema_along_axis_via_quadric(axis);
-            prop_assert!(a.high.max_channel_distance(b.high) < 1e-6);
-            prop_assert!(a.low.max_channel_distance(b.low) < 1e-6);
+        let shape = model.fixed_shape().expect("the synthetic model has a fixed shape");
+        let mut scale = Vec::new();
+        shape.scales_into(&[c.r], &[c.g], &[c.b], e, &mut scale);
+        prop_assert!(shape.holds_at(scale[0]));
+        for axis in RgbAxis::ALL {
+            let dkl = ellipsoid.extrema_along_axis(axis);
+            let quadric = ellipsoid.extrema_along_axis_via_quadric(axis);
+            let offset = shape.extremum_offset(axis) * scale[0];
+            let high = LinearRgb::from_vec3(c.to_vec3() + offset);
+            let low = LinearRgb::from_vec3(c.to_vec3() - offset);
+            prop_assert!(high.max_channel_distance(dkl.high) < 1e-12);
+            prop_assert!(low.max_channel_distance(dkl.low) < 1e-12);
+            prop_assert!(dkl.high.max_channel_distance(quadric.high) < 1e-6);
+            prop_assert!(dkl.low.max_channel_distance(quadric.low) < 1e-6);
+            prop_assert!(high.max_channel_distance(quadric.high) < 1e-6);
+            prop_assert!(low.max_channel_distance(quadric.low) < 1e-6);
         }
     }
 

@@ -1,6 +1,8 @@
 //! The full-frame perceptual encoder.
 
-use crate::adjust::{adjust_frame_tile, AdjustScratch, AdjustmentCase};
+use crate::adjust::{
+    adjust_frame_tile, AdjustScratch, AdjustmentCase, ClosedForm, TileAdjustOutcome,
+};
 use crate::config::EncoderConfig;
 use crate::stats::AdjustmentStats;
 use pvc_bdc::{
@@ -157,18 +159,23 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
             total_tiles: grid.tile_count(),
             ..Default::default()
         };
+        // The closed form's constants: once per frame, shared by every tile.
+        let closed_form = self.model.fixed_shape().and_then(ClosedForm::new);
+        let closed_form = closed_form.as_ref();
 
         if self.config.threads <= 1 {
             // Sequential: adjust straight through the caller's scratch and
-            // write each winning tile into `out` — no per-tile allocation.
+            // write each winning tile's lanes into `out` — no per-tile
+            // allocation.
             for tile in grid.tiles() {
                 if eccentricity.is_foveal_tile(tile) {
                     stats.foveal_tiles += 1;
                     continue;
                 }
-                let case = self.adjust_tile_into_scratch(frame, eccentricity, tile, scratch);
-                stats.record_case(case);
-                out.write_tile(tile, scratch.best());
+                let outcome =
+                    self.adjust_tile_into_scratch(frame, eccentricity, tile, closed_form, scratch);
+                stats.record_case(outcome.case);
+                out.write_tile_lanes(tile, scratch.winner(&outcome));
             }
             return stats;
         }
@@ -187,16 +194,19 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
                         if eccentricity.is_foveal_tile(tile) {
                             return TileOutcome::Foveal;
                         }
-                        let case = self.adjust_tile_into_scratch(
+                        let outcome = self.adjust_tile_into_scratch(
                             frame,
                             eccentricity,
                             tile,
+                            closed_form,
                             worker_scratch,
                         );
+                        let mut pixels = Vec::new();
+                        worker_scratch.winner(&outcome).scatter_into(&mut pixels);
                         TileOutcome::Adjusted {
                             tile,
-                            case,
-                            pixels: worker_scratch.best().to_vec(),
+                            case: outcome.case,
+                            pixels,
                         }
                     })
                     .collect()
@@ -214,18 +224,27 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
         stats
     }
 
-    /// Gathers one (non-foveal) tile straight into the scratch's lanes,
-    /// builds its ellipsoid lanes and adjusts it; the winning pixels land
-    /// in `scratch.best()`.
+    /// Gathers one (non-foveal) tile straight into the scratch's lanes and
+    /// adjusts it, through the closed form when it covers the tile; the
+    /// winning pixels stay in the scratch ([`AdjustScratch::winner`]).
     fn adjust_tile_into_scratch(
         &self,
         frame: &LinearFrame,
         eccentricity: &EccentricityMap,
         tile: TileRect,
+        closed_form: Option<&ClosedForm<'_>>,
         scratch: &mut AdjustScratch,
-    ) -> AdjustmentCase {
+    ) -> TileAdjustOutcome {
         let ecc = eccentricity.tile_eccentricity(tile);
-        adjust_frame_tile(scratch, frame, tile, &self.model, ecc, &self.config.axes).case
+        adjust_frame_tile(
+            scratch,
+            frame,
+            tile,
+            &self.model,
+            closed_form,
+            ecc,
+            &self.config.axes,
+        )
     }
 
     /// Runs the complete pipeline of Fig. 7: adjust colors, gamma-encode to

@@ -14,24 +14,29 @@
 //! channel's extremes).
 //!
 //! A second pin covers the frame path: `adjust_frame_with_map_into`
-//! gathers each tile straight into lanes and has the model build the
-//! ellipsoid lanes, and must equal the per-tile AoS composition
-//! (`tile_pixels_into`, one `model.ellipsoid` per pixel, `adjust_tile_with`)
-//! bit for bit — any drift in gather order or in the ellipsoid lanes shows
-//! up there. That pin counts every NaN as one value: Rust leaves the sign
-//! and payload of an arithmetic NaN unspecified, the optimized lane build
-//! can pick a different one than the per-pixel call, and nothing
-//! downstream reads them (the sRGB quantizer maps every NaN to code 0).
+//! gathers each tile straight into lanes and must equal the per-tile AoS
+//! composition bit for bit. For a model with a fixed shape the reference
+//! is a scalar closed form in the kernel's operation order, with the
+//! kernel's per-tile fallback; every other tile, and every tile of a model
+//! without one, goes through `tile_pixels_into`, one `model.ellipsoid` per
+//! pixel and `adjust_tile_with`. Any drift in gather order, in the
+//! ellipsoid lanes or in the closed form shows up there. On clean frames
+//! the pin also checks the paper's promise in linear space: every adjusted
+//! pixel stays inside its original pixel's ellipsoid. The pin counts every
+//! NaN as one value: Rust leaves the sign and payload of an arithmetic NaN
+//! unspecified, the optimized lane build can pick a different one than the
+//! per-pixel call, and nothing downstream reads them (the sRGB quantizer
+//! maps every NaN to code 0).
 
 use proptest::prelude::*;
 use pvc_bdc::tile_codec::bits_for_range;
 use pvc_color::{
-    linear_to_srgb8, srgb_to_linear, DiscriminationModel, LinearRgb, RbfDiscriminationModel,
-    RgbAxis, SyntheticDiscriminationModel,
+    linear_to_srgb8, srgb_to_linear, DiscriminationModel, FixedShape, LinearRgb,
+    RbfDiscriminationModel, RgbAxis, SyntheticDiscriminationModel,
 };
 use pvc_core::{
-    adjust_tile_along_axis, adjust_tile_with, AdjustScratch, AdjustmentStats, AxisAdjustment,
-    EncoderConfig, PerceptualEncoder,
+    adjust_tile_along_axis, adjust_tile_with, AdjustScratch, AdjustmentCase, AdjustmentStats,
+    AxisAdjustment, EncoderConfig, PerceptualEncoder,
 };
 use pvc_fovea::{DisplayGeometry, EccentricityMap, GazePoint};
 use pvc_frame::{Dimensions, LinearFrame, TileGrid};
@@ -212,8 +217,10 @@ proptest! {
 }
 
 /// The per-tile AoS composition the frame path must reproduce: gather each
-/// non-foveal tile with `tile_pixels_into`, build one ellipsoid per pixel
-/// with `model.ellipsoid`, adjust with `adjust_tile_with`, write back.
+/// non-foveal tile with `tile_pixels_into`, then adjust it with the scalar
+/// closed form ([`closed_form_adjust_tile`]) when the model declares a
+/// fixed shape that covers the tile, else build one ellipsoid per pixel
+/// with `model.ellipsoid` and adjust with `adjust_tile_with`; write back.
 fn aos_adjust_frame(
     model: &dyn DiscriminationModel,
     config: &EncoderConfig,
@@ -226,6 +233,7 @@ fn aos_adjust_frame(
         total_tiles: grid.tile_count(),
         ..Default::default()
     };
+    let shape = model.fixed_shape();
     let mut scratch = AdjustScratch::new();
     for tile in grid.tiles() {
         if map.is_foveal_tile(tile) {
@@ -234,6 +242,14 @@ fn aos_adjust_frame(
         }
         let ecc = map.tile_eccentricity(tile);
         frame.tile_pixels_into(tile, &mut scratch.pixels);
+        if let Some((case, adjusted)) = shape
+            .as_ref()
+            .and_then(|shape| closed_form_adjust_tile(shape, &scratch.pixels, ecc, &config.axes))
+        {
+            stats.record_case(case);
+            out.write_tile(tile, &adjusted);
+            continue;
+        }
         scratch.ellipsoids.clear();
         let ellipsoids = scratch.pixels.iter().map(|&p| model.ellipsoid(p, ecc));
         scratch.ellipsoids.extend(ellipsoids);
@@ -242,6 +258,119 @@ fn aos_adjust_frame(
         out.write_tile(tile, scratch.best());
     }
     (out, stats)
+}
+
+/// Scalar reference of the closed-form axis search for a fixed-shape
+/// model, in the kernel's operation order: per axis, `HL`/`LH` from
+/// `p_A ∓ s·e_A`, then every pixel moved by `τ·u` with `τ` clamped to the
+/// chord and shortened to the gamut, then the first minimal Δ-bit cost and
+/// the no-regress guard. Returns `None` where the kernel falls back to the
+/// general route: a non-finite channel, or a scale the shape does not hold
+/// at.
+fn closed_form_adjust_tile(
+    shape: &FixedShape<'_>,
+    pixels: &[LinearRgb],
+    ecc: f64,
+    axes: &[RgbAxis],
+) -> Option<(AdjustmentCase, Vec<LinearRgb>)> {
+    let channel = |c: usize| -> Vec<f64> { pixels.iter().map(|p| p.channel(c)).collect() };
+    let (r, g, b) = (channel(0), channel(1), channel(2));
+    let mut scales = Vec::new();
+    shape.scales_into(&r, &g, &b, ecc, &mut scales);
+    let finite = pixels.iter().all(|p| p.to_vec3().is_finite());
+    if !finite || !scales.iter().all(|&s| shape.holds_at(s)) {
+        return None;
+    }
+    let original_cost = scalar_delta_bit_cost(pixels);
+    let mut best: Option<(u64, AdjustmentCase, Vec<LinearRgb>)> = None;
+    for &axis in axes {
+        let a = axis.index();
+        let e = shape.extremum_offset(axis);
+        let reach = e.component(a);
+        let u = e.to_array().map(|c| c / reach);
+        let mut hl = f64::NEG_INFINITY;
+        let mut lh = f64::INFINITY;
+        for (p, &s) in pixels.iter().zip(&scales) {
+            hl = hl.max(p.channel(a) - s * reach);
+            lh = lh.min(p.channel(a) + s * reach);
+        }
+        let common_plane = hl <= lh;
+        let plane = 0.5 * (hl + lh);
+        let adjusted: Vec<LinearRgb> = pixels
+            .iter()
+            .zip(&scales)
+            .map(|(p, &s)| {
+                let value = p.channel(a);
+                let chord = s * reach;
+                let target = if common_plane {
+                    plane
+                } else {
+                    value.min(hl).max(lh)
+                };
+                let tau0 = (target - value).min(chord).max(-chord);
+                // Gamut: the step along ±u shrinks to the first cube face.
+                let sign = if tau0 > 0.0 { 1.0 } else { -1.0 };
+                let mut limit = tau0.abs();
+                for (c, &uc) in u.iter().enumerate() {
+                    let d = sign * uc;
+                    let room = if d > 0.0 {
+                        (1.0 - p.channel(c)) * (1.0 / d)
+                    } else if d < 0.0 {
+                        (0.0 - p.channel(c)) * (1.0 / d)
+                    } else {
+                        continue;
+                    };
+                    limit = limit.min(room.max(0.0));
+                }
+                let tau = sign * limit;
+                if tau == 0.0 {
+                    *p
+                } else {
+                    LinearRgb::new(p.r + u[0] * tau, p.g + u[1] * tau, p.b + u[2] * tau)
+                }
+            })
+            .collect();
+        let cost = scalar_delta_bit_cost(&adjusted);
+        let case = if common_plane {
+            AdjustmentCase::CommonPlane
+        } else {
+            AdjustmentCase::NoCommonPlane
+        };
+        if best.as_ref().map_or(true, |(c, _, _)| cost < *c) {
+            best = Some((cost, case, adjusted));
+        }
+    }
+    let (cost, case, adjusted) = best.expect("at least one axis");
+    Some(if cost >= original_cost {
+        (case, pixels.to_vec())
+    } else {
+        (case, adjusted)
+    })
+}
+
+/// Fails unless every adjusted non-foveal pixel of `adjusted` lies inside
+/// the ellipsoid `model` gives its original pixel in `frame`, within
+/// `1e-6` of the normalized ellipsoid equation.
+fn assert_inside_ellipsoids(
+    model: &dyn DiscriminationModel,
+    config: &EncoderConfig,
+    frame: &LinearFrame,
+    map: &EccentricityMap,
+    adjusted: &LinearFrame,
+    label: &str,
+) {
+    let grid = TileGrid::new(frame.dimensions(), config.tile_size);
+    for tile in grid.tiles().filter(|&tile| !map.is_foveal_tile(tile)) {
+        let ecc = map.tile_eccentricity(tile);
+        let originals = frame.tile_pixels(tile);
+        let moved = adjusted.tile_pixels(tile);
+        for (&original, &pixel) in originals.iter().zip(&moved) {
+            assert!(
+                model.ellipsoid(original, ecc).contains_rgb(pixel, 1e-6),
+                "{label}: {pixel:?} left the ellipsoid of {original:?} at {ecc}°"
+            );
+        }
+    }
 }
 
 /// Every channel of every pixel as raw bits, with every NaN mapped to one
@@ -286,7 +415,7 @@ fn check_frame_path<M: DiscriminationModel + Clone + Sync>(model: M) {
     let mut out = LinearFrame::filled(Dimensions::new(1, 1), LinearRgb::BLACK);
     for scene in SceneId::ALL {
         let rendered = SceneRenderer::new(scene, SceneConfig::new(dims)).render_linear(3);
-        for frame in [rendered.clone(), poisoned(rendered)] {
+        for (frame, is_poisoned) in [(rendered.clone(), false), (poisoned(rendered), true)] {
             for tile_size in [4, 8] {
                 for threads in [1, 4] {
                     let config = EncoderConfig::default()
@@ -310,6 +439,9 @@ fn check_frame_path<M: DiscriminationModel + Clone + Sync>(model: M) {
                         assert_eq!(stats, want_stats, "{label}");
                         assert_eq!(out.dimensions(), want.dimensions(), "{label}");
                         assert!(frame_bits(&out) == frame_bits(&want), "{label}");
+                        if !is_poisoned {
+                            assert_inside_ellipsoids(&model, &config, &frame, &map, &out, &label);
+                        }
                     }
                 }
             }

@@ -213,6 +213,36 @@ impl LinearFrame {
             }
         });
     }
+
+    /// Writes a tile's lanes (in [`Self::tile_lanes_into`] order) back
+    /// into the frame: the SoA twin of [`write_tile`](Self::write_tile).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile extends outside the frame or the lane length
+    /// does not match the tile area.
+    pub fn write_tile_lanes(&mut self, tile: TileRect, lanes: &LinearTileLanes) {
+        assert_eq!(lanes.len(), tile.pixel_count(), "tile pixel count mismatch");
+        assert!(
+            tile.x + tile.width <= self.width() && tile.y + tile.height <= self.height(),
+            "tile extends outside the frame"
+        );
+        let (width, tile_width) = (self.width() as usize, tile.width as usize);
+        let pixels = self.pixels_mut();
+        for dy in 0..tile.height as usize {
+            let row_start = (tile.y as usize + dy) * width + tile.x as usize;
+            let row = &mut pixels[row_start..row_start + tile_width];
+            let lane = dy * tile_width..(dy + 1) * tile_width;
+            let (r, g, b) = (
+                &lanes.r[lane.clone()],
+                &lanes.g[lane.clone()],
+                &lanes.b[lane],
+            );
+            for (i, p) in row.iter_mut().enumerate() {
+                *p = LinearRgb::new(r[i], g[i], b[i]);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -267,6 +297,23 @@ mod tests {
             lanes.scatter_into(&mut scattered);
             assert_eq!(scattered, aos);
         }
+    }
+
+    #[test]
+    fn linear_lane_write_matches_aos_write() {
+        let d = Dimensions::new(7, 5);
+        let mut source = LinearFrame::filled(d, LinearRgb::BLACK);
+        for (i, p) in source.pixels_mut().iter_mut().enumerate() {
+            let t = i as f64 / 34.0;
+            *p = LinearRgb::new(t, 1.0 - t, 0.5 * t);
+        }
+        let mut by_lanes = LinearFrame::filled(d, LinearRgb::BLACK);
+        let mut lanes = LinearTileLanes::new();
+        for tile in TileGrid::new(d, 4).tiles() {
+            source.tile_lanes_into(tile, &mut lanes);
+            by_lanes.write_tile_lanes(tile, &lanes);
+        }
+        assert_eq!(by_lanes, source);
     }
 
     #[test]
