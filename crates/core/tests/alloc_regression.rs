@@ -7,8 +7,8 @@
 //! reused for the rest of the session. This test pins that property with
 //! a counting global allocator so it cannot silently rot. The producer
 //! side of a stream frame is pinned too: rendering a scene into a
-//! recycled pool buffer must not allocate either (the noise cursors live
-//! on the stack).
+//! recycled pool buffer must not allocate either (the noise cursors and
+//! the renderer's column strips live on the stack).
 //!
 //! The test lives alone in its own integration-test binary: the counter
 //! is process-global, and a concurrently running sibling test would
@@ -53,23 +53,31 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Renders every scene into an already-sized frame, as a shard producer
 /// does with a recycled pool buffer, and asserts zero allocation events.
+/// The sizes cover a stereo frame and frames several of the renderer's
+/// 32-pixel column strips wide, one of them ending in a partial strip.
 fn assert_rendering_into_a_sized_frame_does_not_allocate() {
-    let dims = Dimensions::new(96, 64);
-    let renderers = SceneId::ALL.map(|scene| SceneRenderer::new(scene, SceneConfig::new(dims)));
-    let mut frame = renderers[0].render_linear(0);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for renderer in &renderers {
-        for index in [0, 1, 23] {
-            renderer.render_linear_into(index, &mut frame);
+    let configs = [
+        SceneConfig::new(Dimensions::new(96, 64)),
+        SceneConfig::stereo(Dimensions::new(128, 64)),
+        SceneConfig::new(Dimensions::new(203, 21)),
+    ];
+    for config in configs {
+        let renderers = SceneId::ALL.map(|scene| SceneRenderer::new(scene, config));
+        let mut frame = renderers[0].render_linear(0);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for renderer in &renderers {
+            for index in [0, 1, 23] {
+                renderer.render_linear_into(index, &mut frame);
+            }
         }
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(frame.dimensions(), config.dimensions);
+        assert_eq!(
+            allocations, 0,
+            "rendering into a sized frame must not allocate \
+             ({allocations} allocation events over 18 renders, {config:?})"
+        );
     }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(frame.dimensions(), dims);
-    assert_eq!(
-        allocations, 0,
-        "rendering into a sized frame must not allocate \
-         ({allocations} allocation events over 18 renders)"
-    );
 }
 
 #[test]

@@ -33,6 +33,6 @@ pub mod noise;
 pub mod renderer;
 pub mod statistics;
 
-pub use noise::{FractalNoise, NoiseCursor, MAX_OCTAVES};
+pub use noise::{FractalNoise, NoiseAxis, NoiseCursor, MAX_OCTAVES};
 pub use renderer::{SceneConfig, SceneId, SceneRenderer};
 pub use statistics::SceneStatistics;

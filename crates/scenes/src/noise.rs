@@ -65,19 +65,77 @@ impl FractalNoise {
     /// A sampling cursor that remembers the last lattice cell of every
     /// octave, so neighbouring samples reuse its hashed corner values.
     pub fn cursor(&self) -> NoiseCursor<'_> {
+        let persistence = f64::from(self.persistence_milli) / 1000.0;
+        let mut amplitudes = [0.0; MAX_OCTAVES as usize];
+        let mut amplitude = 1.0;
+        let mut amplitude_sum = 0.0;
+        for slot in &mut amplitudes[..self.octaves as usize] {
+            *slot = amplitude;
+            amplitude_sum += amplitude;
+            amplitude *= persistence;
+        }
         NoiseCursor {
             noise: self,
+            amplitudes,
+            amplitude_sum,
             cells: [LatticeCell::EMPTY; MAX_OCTAVES as usize],
         }
     }
 
-    fn lattice_value(&self, x: i64, y: i64, octave: u32) -> f64 {
-        let mut h = self.seed ^ 0x9E37_79B9_7F4A_7C15;
-        h = splitmix(h ^ (x as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-        h = splitmix(h ^ (y as u64).wrapping_mul(0x9FB2_1C65_1E98_DF25));
-        h = splitmix(h ^ u64::from(octave).wrapping_mul(0xD6E8_FEB8_6659_FD93));
-        (h >> 11) as f64 / (1u64 << 53) as f64
+    /// The x half of a sample at `x` with base lattice frequency `scale`:
+    /// per octave, the lattice column, its smoothstepped weight and the
+    /// hashing round that depends on the column alone. A caller sampling a
+    /// grid computes it once per column and passes it to
+    /// [`NoiseCursor::sample_axis`] with the same `scale` on every row.
+    pub fn axis(&self, x: f64, scale: f64) -> NoiseAxis {
+        let mut axis = NoiseAxis::default();
+        let mut frequency = scale;
+        for octave in &mut axis.octaves[..self.octaves as usize] {
+            let split = LatticeSplit::at(x * frequency);
+            *octave = AxisOctave {
+                split,
+                column_hashes: [
+                    self.column_hash(split.cell),
+                    self.column_hash(split.cell.wrapping_add(1)),
+                ],
+            };
+            frequency *= 2.0;
+        }
+        axis
     }
+
+    /// The first of the three lattice hashing rounds, which depends only on
+    /// the lattice column `x`.
+    fn column_hash(&self, x: i64) -> u64 {
+        let h = self.seed ^ 0x9E37_79B9_7F4A_7C15;
+        splitmix(h ^ (x as u64).wrapping_mul(0xA24B_AED4_963E_E407))
+    }
+
+    /// The lattice value at column hash `column_hash` (of `x`), row `y`.
+    fn lattice_value(column_hash: u64, y: i64, octave: u32) -> f64 {
+        let mut h = splitmix(column_hash ^ (y as u64).wrapping_mul(0x9FB2_1C65_1E98_DF25));
+        h = splitmix(h ^ u64::from(octave).wrapping_mul(0xD6E8_FEB8_6659_FD93));
+        // `h >> 11` is below 2⁵³, so the signed conversion (one instruction,
+        // unlike the unsigned one) is exact.
+        (h >> 11) as i64 as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// The x half of a [`FractalNoise`] sample, made by [`FractalNoise::axis`]:
+/// per octave, the lattice column `x` falls in, its smoothstepped
+/// interpolation weight and the column hashes of the cell's two lattice
+/// columns. It lives on the stack.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoiseAxis {
+    octaves: [AxisOctave; MAX_OCTAVES as usize],
+}
+
+/// One octave of a [`NoiseAxis`]: the split of `x` and the column hashes
+/// of its cell's two lattice columns.
+#[derive(Debug, Clone, Copy, Default)]
+struct AxisOctave {
+    split: LatticeSplit,
+    column_hashes: [u64; 2],
 }
 
 /// A [`FractalNoise`] sampler with a one-cell lattice cache per octave.
@@ -87,8 +145,10 @@ impl FractalNoise {
 /// the same point, in any order. The cache pays off when consecutive
 /// samples land in the same cell (all four corners reused) or in its
 /// right-hand neighbour (two reused, two hashed) — the common case when
-/// one call site is walked across a scanline. Keep one cursor per call
-/// site so sites sampling at different scales do not evict each other.
+/// one call site is walked across a scanline. Each octave also remembers
+/// the split of the last row coordinate it saw, so samples along one row
+/// floor and smoothstep `y` once per octave. Keep one cursor per call site
+/// so sites sampling at different scales do not evict each other.
 ///
 /// # Examples
 ///
@@ -104,6 +164,10 @@ impl FractalNoise {
 #[derive(Debug)]
 pub struct NoiseCursor<'a> {
     noise: &'a FractalNoise,
+    /// Per-octave amplitudes `persistence^octave`, by repeated products.
+    amplitudes: [f64; MAX_OCTAVES as usize],
+    /// The sum of `amplitudes`, accumulated in octave order.
+    amplitude_sum: f64,
     cells: [LatticeCell; MAX_OCTAVES as usize],
 }
 
@@ -111,19 +175,63 @@ impl NoiseCursor<'_> {
     /// Samples the fractal noise at `(x, y)` with base lattice frequency
     /// `scale`; bit-identical to [`FractalNoise::sample`].
     pub fn sample(&mut self, x: f64, y: f64, scale: f64) -> f64 {
-        let noise = self.noise;
-        let persistence = f64::from(noise.persistence_milli) / 1000.0;
-        let mut amplitude = 1.0;
+        self.sample_axis(&self.noise.axis(x, scale), y, scale)
+    }
+
+    /// Samples the fractal noise at `(x, y)`, where `axis` is
+    /// [`FractalNoise::axis`]`(x, scale)` of this cursor's noise;
+    /// bit-identical to [`Self::sample`]`(x, y, scale)`.
+    pub fn sample_axis(&mut self, axis: &NoiseAxis, y: f64, scale: f64) -> f64 {
+        let octaves = self.noise.octaves as usize;
+        let layers = (self.cells[..octaves].iter_mut())
+            .zip(&axis.octaves)
+            .zip(&self.amplitudes);
         let mut frequency = scale;
         let mut total = 0.0;
-        let mut max_total = 0.0;
-        for (octave, cell) in (0..noise.octaves).zip(&mut self.cells) {
-            total += amplitude * cell.sample(noise, x * frequency, y * frequency, octave);
-            max_total += amplitude;
-            amplitude *= persistence;
+        for (octave, ((cell, column), amplitude)) in (0..).zip(layers) {
+            total += amplitude * cell.sample(column, y * frequency, octave);
             frequency *= 2.0;
         }
-        (total / max_total).clamp(0.0, 1.0)
+        (total / self.amplitude_sum).clamp(0.0, 1.0)
+    }
+}
+
+/// A lattice coordinate split into its cell and the smoothstepped
+/// position inside it.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct LatticeSplit {
+    /// `floor(t)`, saturated to the `i64` range (0 for NaN).
+    cell: i64,
+    /// `smoothstep(t - floor(t))`.
+    weight: f64,
+}
+
+impl LatticeSplit {
+    fn at(t: f64) -> Self {
+        // Below 2⁵² every float truncates exactly to an `i64`, and stepping
+        // down once for negative non-integers gives the floor; the
+        // truncation is one instruction where `f64::floor` is a libm call.
+        // Larger magnitudes, ±∞ and NaN take `f64::floor`. (For -0.0 the
+        // float floor here is +0.0, which leaves the cell and the weight
+        // unchanged.)
+        let (cell, floor) = if t.abs() < 4_503_599_627_370_496.0 {
+            let cell = t as i64;
+            let floor = cell as f64;
+            if floor > t {
+                (cell - 1, floor - 1.0)
+            } else {
+                (cell, floor)
+            }
+        } else {
+            let floor = t.floor();
+            // The cast saturates, so the `+ 1` neighbours wrap rather than
+            // overflow.
+            (floor as i64, floor)
+        };
+        LatticeSplit {
+            cell,
+            weight: smoothstep(t - floor),
+        }
     }
 }
 
@@ -134,42 +242,51 @@ struct LatticeCell {
     origin: Option<(i64, i64)>,
     /// Corner values `[v00, v10, v01, v11]`.
     corners: [f64; 4],
+    /// `to_bits` of the last row coordinate, and its split.
+    row_key: u64,
+    row: LatticeSplit,
 }
 
 impl LatticeCell {
+    /// Starts with the split of `y = 0.0`, which is exactly
+    /// `LatticeSplit::at(0.0)`, so the row memo needs no empty state.
     const EMPTY: LatticeCell = LatticeCell {
         origin: None,
         corners: [0.0; 4],
+        row_key: 0,
+        row: LatticeSplit {
+            cell: 0,
+            weight: 0.0,
+        },
     };
 
-    /// Bilinearly interpolates the smoothstepped lattice at `(x, y)`,
-    /// hashing only the corners the cached cell cannot supply.
-    fn sample(&mut self, noise: &FractalNoise, x: f64, y: f64, octave: u32) -> f64 {
-        let x0 = x.floor();
-        let y0 = y.floor();
-        let fx = smoothstep(x - x0);
-        let fy = smoothstep(y - y0);
-        // The casts saturate for out-of-range coordinates, so the `+ 1`
-        // neighbours wrap rather than overflow.
-        let x0 = x0 as i64;
-        let y0 = y0 as i64;
+    /// Bilinearly interpolates the smoothstepped lattice at `(x, y)`, given
+    /// the split of `x`, hashing only the corners the cached cell cannot
+    /// supply.
+    fn sample(&mut self, column: &AxisOctave, y: f64, octave: u32) -> f64 {
+        if y.to_bits() != self.row_key {
+            self.row_key = y.to_bits();
+            self.row = LatticeSplit::at(y);
+        }
+        let (x0, fx) = (column.split.cell, column.split.weight);
+        let (y0, fy) = (self.row.cell, self.row.weight);
         if self.origin != Some((x0, y0)) {
-            let x1 = x0.wrapping_add(1);
             let y1 = y0.wrapping_add(1);
+            let [h0, h1] = column.column_hashes;
             let [v00, v01] = match self.origin {
                 Some(origin) if origin == (x0.wrapping_sub(1), y0) => {
                     [self.corners[1], self.corners[3]]
                 }
                 _ => [
-                    noise.lattice_value(x0, y0, octave),
-                    noise.lattice_value(x0, y1, octave),
+                    FractalNoise::lattice_value(h0, y0, octave),
+                    FractalNoise::lattice_value(h0, y1, octave),
                 ],
             };
             self.corners = [
                 v00,
-                noise.lattice_value(x1, y0, octave),
+                FractalNoise::lattice_value(h1, y0, octave),
                 v01,
-                noise.lattice_value(x1, y1, octave),
+                FractalNoise::lattice_value(h1, y1, octave),
             ];
             self.origin = Some((x0, y0));
         }
@@ -267,6 +384,12 @@ mod tests {
         ] {
             assert_eq!(noise.sample(x, y, 1.0).to_bits(), bits, "({x}, {y})");
         }
+    }
+
+    #[test]
+    fn the_empty_row_memo_is_the_split_of_zero() {
+        assert_eq!(LatticeCell::EMPTY.row_key, 0.0f64.to_bits());
+        assert_eq!(LatticeCell::EMPTY.row, LatticeSplit::at(0.0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The six synthetic VR scenes and their renderer.
 
-use crate::noise::{FractalNoise, NoiseCursor};
+use crate::noise::{FractalNoise, NoiseAxis, NoiseCursor};
 use pvc_color::LinearRgb;
 use pvc_frame::{Dimensions, LinearFrame, SrgbFrame};
 use serde::{Deserialize, Serialize};
@@ -199,54 +199,66 @@ impl SceneRenderer {
         );
         let time = f64::from(index) * 0.06;
         // One cursor per noise call site: each site walks its own lattice
-        // cells along the scanline, and sites at different scales would
-        // only evict each other from a shared cache.
+        // cells along a strip row, and sites at different scales would
+        // only evict each other from a shared cache. Every 2-D site takes
+        // the x half of its samples from the scene's column values.
         match self.scene {
             SceneId::Office => {
                 let (mut screen, mut ambient) = (detail.cursor(), noise.cursor());
-                self.fill(frame, time, |u, v| {
-                    shade_office(u, v, &mut screen, &mut ambient)
-                });
+                self.fill(
+                    frame,
+                    time,
+                    |u| column_office(u, &noise, &detail),
+                    |column, u, v| shade_office(column, u, v, &mut screen, &mut ambient),
+                );
             }
             SceneId::Fortnite => {
-                let (mut horizon, mut clouds) = (noise.cursor(), noise.cursor());
-                let (mut meadow, mut canopy) = (noise.cursor(), detail.cursor());
-                self.fill(frame, time, |u, v| {
-                    shade_fortnite(
-                        u,
-                        v,
-                        time,
-                        &mut horizon,
-                        &mut clouds,
-                        &mut meadow,
-                        &mut canopy,
-                    )
-                });
+                let mut horizon = noise.cursor();
+                let (mut clouds, mut meadow) = (noise.cursor(), noise.cursor());
+                let mut canopy = detail.cursor();
+                self.fill(
+                    frame,
+                    time,
+                    |u| column_fortnite(u, time, &mut horizon, &noise, &detail),
+                    |column, _, v| shade_fortnite(column, v, &mut clouds, &mut meadow, &mut canopy),
+                );
             }
             SceneId::Skyline => {
                 let (mut skyline, mut windows) = (noise.cursor(), detail.cursor());
-                self.fill(frame, time, |u, v| {
-                    shade_skyline(u, v, &mut skyline, &mut windows)
-                });
+                self.fill(
+                    frame,
+                    time,
+                    |u| column_skyline(u, &mut skyline, &detail),
+                    |column, _, v| shade_skyline(column, v, &mut windows),
+                );
             }
             SceneId::Dumbo => {
                 let lamps = lamp_positions(time);
                 let (mut deck, mut street) = (noise.cursor(), detail.cursor());
-                self.fill(frame, time, |u, v| {
-                    shade_dumbo(u, v, &lamps, &mut deck, &mut street)
-                });
+                self.fill(
+                    frame,
+                    time,
+                    |u| column_dumbo(u, &lamps, &noise, &detail),
+                    |column, _, v| shade_dumbo(column, v, &mut deck, &mut street),
+                );
             }
             SceneId::Thai => {
                 let (mut ornament, mut shadow) = (detail.cursor(), noise.cursor());
-                self.fill(frame, time, |u, v| {
-                    shade_thai(u, v, &mut ornament, &mut shadow)
-                });
+                self.fill(
+                    frame,
+                    time,
+                    |u| column_thai(u, &noise, &detail),
+                    |column, _, v| shade_thai(column, v, &mut ornament, &mut shadow),
+                );
             }
             SceneId::Monkey => {
                 let (mut leaves, mut shafts) = (detail.cursor(), noise.cursor());
-                self.fill(frame, time, |u, v| {
-                    shade_monkey(u, v, &mut leaves, &mut shafts)
-                });
+                self.fill(
+                    frame,
+                    time,
+                    |u| column_monkey(u, &mut shafts, &detail),
+                    |column, _, v| shade_monkey(column, v, &mut leaves),
+                );
             }
         }
     }
@@ -257,13 +269,20 @@ impl SceneRenderer {
         self.render_linear(index).to_srgb()
     }
 
-    /// Shades every pixel of an already-sized `frame` in row-major order,
-    /// calling `shade` with the pixel's per-eye scene coordinates `(u, v)`.
-    fn fill(
+    /// Shades every pixel of an already-sized `frame`, given each pixel's
+    /// per-eye scene coordinates `(u, v)`.
+    ///
+    /// The frame is walked in column strips of [`STRIP`] pixels whose
+    /// column values live on the stack: `column(u)` runs once per column of
+    /// a strip, then `shade(&column_value, u, v)` runs row by row across
+    /// the strip. Work that depends only on `u` therefore runs once per
+    /// column rather than once per pixel.
+    fn fill<C: Copy + Default>(
         &self,
         frame: &mut LinearFrame,
         time: f64,
-        mut shade: impl FnMut(f64, f64) -> LinearRgb,
+        mut column: impl FnMut(f64) -> C,
+        mut shade: impl FnMut(&C, f64, f64) -> LinearRgb,
     ) {
         let dims = self.config.dimensions;
         let width = dims.width as usize;
@@ -274,10 +293,10 @@ impl SceneRenderer {
         };
         let drift = time * 0.05;
         let pixels = frame.pixels_mut();
-        for y in 0..dims.height {
-            let v = (f64::from(y) + 0.5) / f64::from(dims.height);
-            let start = y as usize * width;
-            for (x, pixel) in (0..dims.width).zip(&mut pixels[start..start + width]) {
+        let mut columns = [(0.0, C::default()); STRIP];
+        for strip_start in (0..width).step_by(STRIP) {
+            let strip = &mut columns[..STRIP.min(width - strip_start)];
+            for (x, (u, value)) in (strip_start as u32..).zip(strip.iter_mut()) {
                 // Per-eye coordinates normalized to [0, 1]; the right eye is
                 // shifted slightly to mimic stereo parallax.
                 let (ex, parallax) = if self.config.stereo && x >= eye_width {
@@ -285,18 +304,51 @@ impl SceneRenderer {
                 } else {
                     (x, 0.0)
                 };
-                let u = (f64::from(ex) + 0.5) / f64::from(eye_width) + parallax + drift;
-                *pixel = shade(u, v).clamped();
+                *u = (f64::from(ex) + 0.5) / f64::from(eye_width) + parallax + drift;
+                *value = column(*u);
+            }
+            for y in 0..dims.height {
+                let v = (f64::from(y) + 0.5) / f64::from(dims.height);
+                let start = y as usize * width + strip_start;
+                let row = &mut pixels[start..start + strip.len()];
+                for (pixel, (u, value)) in row.iter_mut().zip(strip.iter()) {
+                    *pixel = shade(value, *u, v).clamped();
+                }
             }
         }
     }
 }
 
+/// Width in pixels of the column strips [`SceneRenderer::fill`] walks. At
+/// 32, fortnite's column values (three `NoiseAxis` each) take about 25 KB
+/// of stack and stay in L1; 16 measured slower and 64 no faster.
+const STRIP: usize = 32;
+
 fn mix(a: LinearRgb, b: LinearRgb, t: f64) -> LinearRgb {
     a.lerp(b, t.clamp(0.0, 1.0))
 }
 
-fn shade_office(u: f64, v: f64, screen: &mut NoiseCursor, ambient: &mut NoiseCursor) -> LinearRgb {
+/// Office's per-column values: the x halves of its two noise sites.
+#[derive(Clone, Copy, Default)]
+struct OfficeColumn {
+    screen: NoiseAxis,
+    ambient: NoiseAxis,
+}
+
+fn column_office(u: f64, noise: &FractalNoise, detail: &FractalNoise) -> OfficeColumn {
+    OfficeColumn {
+        screen: detail.axis(u, 24.0),
+        ambient: noise.axis(u, 3.0),
+    }
+}
+
+fn shade_office(
+    column: &OfficeColumn,
+    u: f64,
+    v: f64,
+    screen: &mut NoiseCursor,
+    ambient: &mut NoiseCursor,
+) -> LinearRgb {
     // Smooth beige walls with a darker floor, a window and a desk rectangle.
     let wall = LinearRgb::new(0.55, 0.5, 0.42);
     let floor = LinearRgb::new(0.28, 0.22, 0.18);
@@ -315,19 +367,42 @@ fn shade_office(u: f64, v: f64, screen: &mut NoiseCursor, ambient: &mut NoiseCur
         color = mix(
             color,
             LinearRgb::new(0.3, 0.5, 0.7),
-            screen.sample(u, v, 24.0) * 0.4,
+            screen.sample_axis(&column.screen, v, 24.0) * 0.4,
         );
     }
     // Gentle ambient-occlusion-like shading and very mild texture.
-    let shade = 0.92 + 0.08 * ambient.sample(u, v, 3.0);
+    let shade = 0.92 + 0.08 * ambient.sample_axis(&column.ambient, v, 3.0);
     LinearRgb::new(color.r * shade, color.g * shade, color.b * shade)
 }
 
-fn shade_fortnite(
+/// Fortnite's per-column values: the horizon height and the x halves of
+/// its three 2-D noise sites.
+#[derive(Clone, Copy, Default)]
+struct FortniteColumn {
+    horizon: f64,
+    clouds: NoiseAxis,
+    meadow: NoiseAxis,
+    canopy: NoiseAxis,
+}
+
+fn column_fortnite(
     u: f64,
-    v: f64,
     time: f64,
-    horizon_noise: &mut NoiseCursor,
+    horizon: &mut NoiseCursor,
+    noise: &FractalNoise,
+    detail: &FractalNoise,
+) -> FortniteColumn {
+    FortniteColumn {
+        horizon: 0.42 + 0.04 * horizon.sample(u * 0.5 + time * 0.02, 0.3, 3.0),
+        clouds: noise.axis(u + time * 0.1, 5.0),
+        meadow: noise.axis(u * 2.0, 6.0),
+        canopy: detail.axis(u * 1.5, 10.0),
+    }
+}
+
+fn shade_fortnite(
+    column: &FortniteColumn,
+    v: f64,
     clouds: &mut NoiseCursor,
     meadow_noise: &mut NoiseCursor,
     canopy_noise: &mut NoiseCursor,
@@ -335,12 +410,12 @@ fn shade_fortnite(
     // Bright sky over rolling green terrain with saturated foliage.
     let sky_top = LinearRgb::new(0.35, 0.6, 0.95);
     let sky_bottom = LinearRgb::new(0.75, 0.85, 0.98);
-    let horizon = 0.42 + 0.04 * horizon_noise.sample(u * 0.5 + time * 0.02, 0.3, 3.0);
+    let horizon = column.horizon;
     if v < horizon {
         let t = (v / horizon).clamp(0.0, 1.0);
         let mut sky = mix(sky_top, sky_bottom, t);
         // Puffy clouds.
-        let cloud = clouds.sample(u + time * 0.1, v * 2.0, 5.0);
+        let cloud = clouds.sample_axis(&column.clouds, v * 2.0, 5.0);
         if cloud > 0.62 {
             sky = mix(sky, LinearRgb::new(0.95, 0.96, 0.98), (cloud - 0.62) * 2.2);
         }
@@ -348,10 +423,10 @@ fn shade_fortnite(
     } else {
         let grass = LinearRgb::new(0.18, 0.62, 0.16);
         let meadow = LinearRgb::new(0.32, 0.72, 0.2);
-        let blend = meadow_noise.sample(u * 2.0, v * 2.0, 6.0);
+        let blend = meadow_noise.sample_axis(&column.meadow, v * 2.0, 6.0);
         let mut ground = mix(grass, meadow, blend);
         // Tree canopies: saturated dark green blobs.
-        let canopy = canopy_noise.sample(u * 1.5, v * 1.5, 10.0);
+        let canopy = canopy_noise.sample_axis(&column.canopy, v * 1.5, 10.0);
         if canopy > 0.6 {
             ground = mix(ground, LinearRgb::new(0.08, 0.4, 0.1), (canopy - 0.6) * 2.0);
         }
@@ -361,25 +436,31 @@ fn shade_fortnite(
     }
 }
 
-fn shade_skyline(
-    u: f64,
-    v: f64,
-    skyline: &mut NoiseCursor,
-    windows: &mut NoiseCursor,
-) -> LinearRgb {
-    // Dusk sky behind high-contrast building silhouettes with lit windows.
-    let sky_top = LinearRgb::new(0.18, 0.2, 0.45);
-    let sky_low = LinearRgb::new(0.85, 0.45, 0.25);
-    let sky = mix(sky_top, sky_low, v.powf(1.5));
+/// Skyline's per-column values: the building height and the x half of the
+/// window noise.
+#[derive(Clone, Copy, Default)]
+struct SkylineColumn {
+    building_height: f64,
+    windows: NoiseAxis,
+}
+
+fn column_skyline(u: f64, skyline: &mut NoiseCursor, detail: &FractalNoise) -> SkylineColumn {
     // Building height field: blocky function of u.
     let column = (u * 14.0).floor();
-    let building_height = 0.35 + 0.45 * skyline.sample(column * 0.173 + 0.31, 0.5, 1.0);
-    if v > building_height {
+    let wx = (u * 140.0).floor();
+    SkylineColumn {
+        building_height: 0.35 + 0.45 * skyline.sample(column * 0.173 + 0.31, 0.5, 1.0),
+        windows: detail.axis(wx * 0.37, 1.0),
+    }
+}
+
+fn shade_skyline(column: &SkylineColumn, v: f64, windows: &mut NoiseCursor) -> LinearRgb {
+    // Dusk sky behind high-contrast building silhouettes with lit windows.
+    if v > column.building_height {
         // Facade: dark with bright window speckles (high-frequency detail).
         let mut facade = LinearRgb::new(0.05, 0.05, 0.08);
-        let wx = (u * 140.0).floor();
         let wy = (v * 90.0).floor();
-        let window = windows.sample(wx * 0.37, wy * 0.73, 1.0);
+        let window = windows.sample_axis(&column.windows, wy * 0.73, 1.0);
         if window > 0.78 {
             facade = LinearRgb::new(0.9, 0.8, 0.45);
         } else if window > 0.7 {
@@ -387,7 +468,9 @@ fn shade_skyline(
         }
         facade
     } else {
-        sky
+        let sky_top = LinearRgb::new(0.18, 0.2, 0.45);
+        let sky_low = LinearRgb::new(0.85, 0.45, 0.25);
+        mix(sky_top, sky_low, v.powf(1.5))
     }
 }
 
@@ -397,10 +480,31 @@ fn lamp_positions(time: f64) -> [f64; 4] {
     [0.0, 1.0, 2.0, 3.0].map(|lamp: f64| 0.15 + 0.23 * lamp + 0.01 * (time + lamp).sin())
 }
 
-fn shade_dumbo(
+/// Dumbo's per-column values: the x halves of its two noise sites and the
+/// squared horizontal distance to each lamp.
+#[derive(Clone, Copy, Default)]
+struct DumboColumn {
+    deck: NoiseAxis,
+    street: NoiseAxis,
+    lamp_dx2: [f64; 4],
+}
+
+fn column_dumbo(
     u: f64,
-    v: f64,
     lamps: &[f64; 4],
+    noise: &FractalNoise,
+    detail: &FractalNoise,
+) -> DumboColumn {
+    DumboColumn {
+        deck: noise.axis(u * 2.0, 8.0),
+        street: detail.axis(u * 3.0, 12.0),
+        lamp_dx2: lamps.map(|lx| (u - lx).powi(2)),
+    }
+}
+
+fn shade_dumbo(
+    column: &DumboColumn,
+    v: f64,
     deck_noise: &mut NoiseCursor,
     street_noise: &mut NoiseCursor,
 ) -> LinearRgb {
@@ -413,7 +517,7 @@ fn shade_dumbo(
         mix(
             deck,
             LinearRgb::new(0.05, 0.045, 0.05),
-            deck_noise.sample(u * 2.0, v * 4.0, 8.0),
+            deck_noise.sample_axis(&column.deck, v * 4.0, 8.0),
         )
     } else {
         let street = LinearRgb::new(0.03, 0.03, 0.045);
@@ -421,21 +525,40 @@ fn shade_dumbo(
         mix(
             base,
             LinearRgb::new(0.06, 0.05, 0.07),
-            street_noise.sample(u * 3.0, v * 3.0, 12.0) * 0.5,
+            street_noise.sample_axis(&column.street, v * 3.0, 12.0) * 0.5,
         )
     };
     // Street lamps: small warm glows.
-    for &lx in lamps {
-        let ly = 0.42;
-        let d2 = (u - lx).powi(2) + (v - ly).powi(2);
+    let ly = 0.42;
+    for &dx2 in &column.lamp_dx2 {
+        let d2 = dx2 + (v - ly).powi(2);
         let glow = (-d2 * 800.0).exp();
         color = mix(color, LinearRgb::new(0.85, 0.6, 0.3), glow * 0.9);
     }
     color
 }
 
+/// Thai's per-column values: the x halves of its two noise sites and
+/// whether the column lies on a pillar.
+#[derive(Clone, Copy, Default)]
+struct ThaiColumn {
+    ornament: NoiseAxis,
+    shadow: NoiseAxis,
+    pillar: bool,
+}
+
+fn column_thai(u: f64, noise: &FractalNoise, detail: &FractalNoise) -> ThaiColumn {
+    // Pillars: vertical bright bands.
+    let pillar = ((u * 6.0).fract() - 0.5).abs();
+    ThaiColumn {
+        ornament: detail.axis(u * 3.0, 18.0),
+        shadow: noise.axis(u, 3.0),
+        pillar: pillar < 0.12,
+    }
+}
+
 fn shade_thai(
-    u: f64,
+    column: &ThaiColumn,
     v: f64,
     ornament_noise: &mut NoiseCursor,
     shadow: &mut NoiseCursor,
@@ -444,15 +567,13 @@ fn shade_thai(
     // spatial detail.
     let wall = LinearRgb::new(0.5, 0.22, 0.1);
     let gold = LinearRgb::new(0.75, 0.55, 0.18);
-    let ornament = ornament_noise.sample(u * 3.0, v * 3.0, 18.0);
+    let ornament = ornament_noise.sample_axis(&column.ornament, v * 3.0, 18.0);
     let mut color = mix(wall, gold, (ornament - 0.35) * 1.6);
-    // Pillars: vertical bright bands.
-    let pillar = ((u * 6.0).fract() - 0.5).abs();
-    if pillar < 0.12 {
+    if column.pillar {
         color = mix(color, LinearRgb::new(0.8, 0.62, 0.3), 0.7);
     }
     // Ceiling shadow gradient and candle-like warmth near the floor.
-    let shade = 0.55 + 0.45 * shadow.sample(u, v, 3.0);
+    let shade = 0.55 + 0.45 * shadow.sample_axis(&column.shadow, v, 3.0);
     let warmth = 1.0 + 0.2 * (1.0 - v);
     LinearRgb::new(
         color.r * shade * warmth,
@@ -461,19 +582,29 @@ fn shade_thai(
     )
 }
 
-fn shade_monkey(
-    u: f64,
-    v: f64,
-    leaf_noise: &mut NoiseCursor,
-    shafts: &mut NoiseCursor,
-) -> LinearRgb {
+/// Monkey's per-column values: the x half of the leaf noise and the
+/// moonlight shaft strength.
+#[derive(Clone, Copy, Default)]
+struct MonkeyColumn {
+    leaves: NoiseAxis,
+    shaft: f64,
+}
+
+fn column_monkey(u: f64, shafts: &mut NoiseCursor, detail: &FractalNoise) -> MonkeyColumn {
+    MonkeyColumn {
+        leaves: detail.axis(u * 2.5, 16.0),
+        shaft: shafts.sample(u * 1.2, 0.4, 2.0),
+    }
+}
+
+fn shade_monkey(column: &MonkeyColumn, v: f64, leaf_noise: &mut NoiseCursor) -> LinearRgb {
     // Dark jungle: dense foliage texture at low luminance.
     let canopy_dark = LinearRgb::new(0.01, 0.03, 0.012);
     let canopy_mid = LinearRgb::new(0.03, 0.09, 0.03);
-    let leaves = leaf_noise.sample(u * 2.5, v * 2.5, 16.0);
+    let leaves = leaf_noise.sample_axis(&column.leaves, v * 2.5, 16.0);
     let mut color = mix(canopy_dark, canopy_mid, leaves);
     // Occasional shafts of moonlight.
-    let shaft = shafts.sample(u * 1.2, 0.4, 2.0);
+    let shaft = column.shaft;
     if shaft > 0.72 {
         let strength = (shaft - 0.72) * 1.5 * (1.0 - v);
         color = mix(color, LinearRgb::new(0.12, 0.18, 0.14), strength);

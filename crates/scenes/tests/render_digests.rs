@@ -6,7 +6,10 @@
 //! hashed afresh for every octave of every sample) and pin every channel
 //! bit of every scene at several sizes, seeds and animation frames, plus
 //! raw `FractalNoise::sample` values. Any renderer optimization must leave
-//! them untouched.
+//! them untouched. The 203×21 and 202×18 stereo digests were added later,
+//! captured from the per-octave cursor renderer that matched every earlier
+//! digest, before the renderer walked the frame in column strips; they
+//! pin a partial last strip and an eye boundary inside a strip.
 
 use pvc_color::LinearRgb;
 use pvc_frame::{Dimensions, LinearFrame};
@@ -32,9 +35,9 @@ const FRAMES: [u32; 3] = [0, 1, 23];
 
 /// Per scene, per configuration: digests in `SEEDS × FRAMES` order
 /// (seed-major).
-type Golden = [[u64; 6]; 4];
+type Golden = [[u64; 6]; 6];
 
-fn configs() -> [(&'static str, SceneConfig); 4] {
+fn configs() -> [(&'static str, SceneConfig); 6] {
     [
         ("7x3", SceneConfig::new(Dimensions::new(7, 3))),
         ("96x64", SceneConfig::new(Dimensions::new(96, 64))),
@@ -43,6 +46,15 @@ fn configs() -> [(&'static str, SceneConfig); 4] {
             SceneConfig::stereo(Dimensions::new(128, 64)),
         ),
         ("256x256", SceneConfig::new(Dimensions::new(256, 256))),
+        // A width that is not a multiple of the renderer's column-strip
+        // width, so the last strip is a partial one.
+        ("203x21", SceneConfig::new(Dimensions::new(203, 21))),
+        // 101-pixel eyes: the boundary between the eyes falls inside a
+        // column strip.
+        (
+            "202x18 stereo",
+            SceneConfig::stereo(Dimensions::new(202, 18)),
+        ),
     ]
 }
 
@@ -81,6 +93,22 @@ fn golden(scene: SceneId) -> Golden {
                 0x8974A50E5E09D968,
                 0xEBF80601B52B9302,
             ],
+            [
+                0xD2C9304BE34574ED,
+                0x1E2C2CB7D853A1FE,
+                0xC009C56AE6607B2E,
+                0x2298E16A0D2A9A6D,
+                0xEEB1B32913989948,
+                0xD8D45B955CAE8934,
+            ],
+            [
+                0x41EC80FBB67B019C,
+                0xF1BB9572C42D4173,
+                0x673AF7AFA46EEA26,
+                0x4041330B21CA2FF3,
+                0xCC4CF836982C1700,
+                0xBD962EACEFC961F3,
+            ],
         ],
         SceneId::Fortnite => [
             [
@@ -114,6 +142,22 @@ fn golden(scene: SceneId) -> Golden {
                 0x92AA537B0E6A52B6,
                 0x58F3F54397C44879,
                 0x39F030B6381CC479,
+            ],
+            [
+                0x7811F1CAD50B4513,
+                0xC463035B3D7A193A,
+                0xDCD3749CD20D5708,
+                0x6C2797B5EFF52620,
+                0xD513840BCD80708C,
+                0x0F42A59AE0586B84,
+            ],
+            [
+                0x37915A9FDB00EE07,
+                0xA558CC6C3E2027F6,
+                0x4F79C95AAF2C56D6,
+                0x7E41D71C13136064,
+                0xE5CC26F3D5E572DD,
+                0x413AE07565617496,
             ],
         ],
         SceneId::Skyline => [
@@ -149,6 +193,22 @@ fn golden(scene: SceneId) -> Golden {
                 0x2ECFEC44888C2B65,
                 0x044FE85BE2B54678,
             ],
+            [
+                0xECBAD35ADEBBEFAC,
+                0x7A9F7C70CC541327,
+                0xD54ACD8E108EB687,
+                0xA3C4A6B918297DCC,
+                0x217DAB1BE5B612E8,
+                0x4840E82BBF18F593,
+            ],
+            [
+                0xEEEA6EA51CF80018,
+                0x978EC3DDF66AB39E,
+                0x1F8E5882B1A40CAE,
+                0x580E05E51E80C365,
+                0xEC84F0C36F94438C,
+                0x51B57B47CF000276,
+            ],
         ],
         SceneId::Dumbo => [
             [
@@ -182,6 +242,22 @@ fn golden(scene: SceneId) -> Golden {
                 0x3E17782D7261070F,
                 0x4874AD8150515600,
                 0x80E66B3896E3E694,
+            ],
+            [
+                0xD47CE93AEF3FF882,
+                0x9D4419687CB2C9AF,
+                0xE12763E0482B7643,
+                0x645A64E98B881193,
+                0xC96AAAF06B23C2E6,
+                0xD42ED5E524F922B4,
+            ],
+            [
+                0x49F7369AFBC25688,
+                0x9C556403ACA12FC0,
+                0xC8F871B024EF667C,
+                0xD61B698BA3E3A326,
+                0x4EDDFD4314EB4F76,
+                0xBF72C614395AA467,
             ],
         ],
         SceneId::Thai => [
@@ -217,6 +293,22 @@ fn golden(scene: SceneId) -> Golden {
                 0x7C3EB9E2812363A2,
                 0x276BFFC122EF363F,
             ],
+            [
+                0x0C913B7550F3B6A5,
+                0xF66D87A87297EE8A,
+                0x43049CDF3137D2E9,
+                0xD17B25E19B5371ED,
+                0x6529436F70AEC699,
+                0x22E1A610A6A21CC5,
+            ],
+            [
+                0x4D9DAE2F70966B91,
+                0xF2C1600F93B25F42,
+                0xF2C34E69CF7AF9EA,
+                0x55835DDE47886824,
+                0xF08E21E14C534BFB,
+                0x145EA832DA1AB235,
+            ],
         ],
         SceneId::Monkey => [
             [
@@ -250,6 +342,22 @@ fn golden(scene: SceneId) -> Golden {
                 0x950874C232A1C44E,
                 0x1A5E607A181B03B9,
                 0x83C29F0B6E52B26F,
+            ],
+            [
+                0xBBEBF03A163E30A0,
+                0xD61EF6C7009E5DC4,
+                0x6A3A18C4D2CDFF81,
+                0xE0E2071B4651454F,
+                0x257F6744A2BD6A20,
+                0x070B8AE2E286AB5F,
+            ],
+            [
+                0xBDA787FEDCA3A42F,
+                0x74D2BB597A5031E1,
+                0xC1CDFC51171839DC,
+                0x8DC262B61248B497,
+                0xC259A887D5BE3F06,
+                0x043A27561A564809,
             ],
         ],
     }
@@ -307,6 +415,20 @@ fn stereo_128x64_frames_match_the_golden_digests() {
 fn mono_256x256_frames_match_the_golden_digests() {
     for scene in SceneId::ALL {
         check(scene, 3);
+    }
+}
+
+#[test]
+fn mono_203x21_partial_strip_frames_match_the_golden_digests() {
+    for scene in SceneId::ALL {
+        check(scene, 4);
+    }
+}
+
+#[test]
+fn stereo_202x18_mid_strip_eye_boundary_frames_match_the_golden_digests() {
+    for scene in SceneId::ALL {
+        check(scene, 5);
     }
 }
 
