@@ -52,7 +52,6 @@ impl BdConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BdEncoder {
     config: BdConfig,
-    threads: usize,
 }
 
 impl Default for BdEncoder {
@@ -62,22 +61,9 @@ impl Default for BdEncoder {
 }
 
 impl BdEncoder {
-    /// Creates a sequential encoder with the given configuration.
+    /// Creates an encoder with the given configuration.
     pub fn new(config: BdConfig) -> Self {
-        BdEncoder { config, threads: 1 }
-    }
-
-    /// Returns a copy that encodes tiles on `threads` scoped worker threads
-    /// (1 = sequential). Tiles are independent and emitted in tile order,
-    /// so the encoded frame is bit-identical for every thread count.
-    ///
-    /// A thread count of 0 is normalized to 1 (sequential). This is the
-    /// single normalization point for the knob: callers no longer need
-    /// scattered `.max(1)` guards around struct-literal or deserialized
-    /// configurations.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+        BdEncoder { config }
     }
 
     /// The encoder configuration.
@@ -85,25 +71,18 @@ impl BdEncoder {
         self.config
     }
 
-    /// The number of worker threads used for per-tile encoding.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Encodes a frame tile by tile.
     pub fn encode_frame(&self, frame: &SrgbFrame) -> BdEncodedFrame {
         let grid = TileGrid::new(frame.dimensions(), self.config.tile_size);
-        let tile_rects: Vec<_> = grid.tiles().collect();
-        // One tile-pixel gather buffer per worker, not one per tile.
-        let tiles: Vec<TileEncoding> = pvc_parallel::parallel_map_init(
-            &tile_rects,
-            self.threads,
-            Vec::new,
-            |gather: &mut Vec<Srgb8>, &tile| {
-                frame.tile_pixels_into(tile, gather);
-                encode_tile(gather)
-            },
-        );
+        // One tile-pixel gather buffer for the frame, not one per tile.
+        let mut gather = Vec::new();
+        let tiles = grid
+            .tiles()
+            .map(|tile| {
+                frame.tile_pixels_into(tile, &mut gather);
+                encode_tile(&gather)
+            })
+            .collect();
         BdEncodedFrame {
             dimensions: frame.dimensions(),
             tile_size: self.config.tile_size,
@@ -130,11 +109,6 @@ impl BdEncoder {
     /// [`crate::tile_codec::channel_range`] walk since integer min/max is
     /// order-independent), and only the bit packing itself stays serial.
     ///
-    /// With more than one worker thread, tile encodings are produced in
-    /// parallel first (bit packing is inherently sequential) and then
-    /// serialized; the bytes are identical, the allocation-free property
-    /// only holds for the sequential path.
-    ///
     /// Returns the same statistics `encode_frame(frame).stats()` would.
     pub fn encode_frame_into(
         &self,
@@ -142,12 +116,6 @@ impl BdEncoder {
         writer: &mut BitWriter,
         gather: &mut SrgbTileLanes,
     ) -> CompressionStats {
-        if self.threads > 1 {
-            let encoded = self.encode_frame(frame);
-            writer.clear();
-            encoded.write_bitstream(writer);
-            return encoded.stats();
-        }
         let grid = TileGrid::new(frame.dimensions(), self.config.tile_size);
         writer.clear();
         writer.write_bits(frame.dimensions().width, 16);
@@ -342,32 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_encoding_is_bit_identical_to_sequential() {
-        let frames = [
-            random_frame(64, 48, 17),
-            smooth_frame(61, 47),
-            random_frame(16, 16, 2),
-        ];
-        for frame in &frames {
-            let serial = BdEncoder::new(BdConfig::default()).encode_frame(frame);
-            for threads in [2, 4, 8] {
-                let parallel = BdEncoder::new(BdConfig::default())
-                    .with_threads(threads)
-                    .encode_frame(frame);
-                assert_eq!(parallel, serial);
-            }
-        }
-    }
-
-    #[test]
-    fn zero_threads_normalizes_to_sequential() {
-        // The single normalization point for the knob: a struct-literal or
-        // deserialized 0 means sequential, not a panic.
-        assert_eq!(BdEncoder::default().with_threads(0).threads(), 1);
-        assert_eq!(BdEncoder::default().with_threads(3).threads(), 3);
-    }
-
-    #[test]
     fn encode_frame_into_matches_the_materialized_path() {
         let frames = [
             random_frame(24, 16, 5),
@@ -384,23 +326,6 @@ mod tests {
                 assert_eq!(writer.as_bytes(), encoded.to_bitstream().as_slice());
                 assert_eq!(stats, encoded.stats());
             }
-        }
-    }
-
-    #[test]
-    fn encode_frame_into_is_thread_count_invariant() {
-        let frame = random_frame(40, 28, 77);
-        let mut writer = crate::BitWriter::new();
-        let mut gather = SrgbTileLanes::new();
-        let sequential_stats =
-            BdEncoder::new(BdConfig::default()).encode_frame_into(&frame, &mut writer, &mut gather);
-        let sequential_bytes = writer.as_bytes().to_vec();
-        for threads in [2, 4] {
-            let stats = BdEncoder::new(BdConfig::default())
-                .with_threads(threads)
-                .encode_frame_into(&frame, &mut writer, &mut gather);
-            assert_eq!(writer.as_bytes(), sequential_bytes.as_slice());
-            assert_eq!(stats, sequential_stats);
         }
     }
 

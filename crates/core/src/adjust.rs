@@ -630,10 +630,8 @@ fn closed_form_attempt<const AXIS: usize>(
 ///
 /// One scratch serves an unbounded stream of tiles: every buffer is
 /// cleared, never shrunk, so after the first few tiles the hot loop
-/// performs no allocation at all. Per-frame encoding threads one scratch
-/// per *worker* through the tile fan-out (see
-/// `pvc_parallel::parallel_chunk_map_init`), and streaming sessions keep
-/// one alive for their whole lifetime.
+/// performs no allocation at all. The figure path builds one scratch per
+/// frame, and streaming sessions keep one alive for their whole lifetime.
 #[derive(Debug, Clone, Default)]
 pub struct AdjustScratch {
     /// The tile's pixels for [`adjust_tile_with`], gathered by the caller

@@ -11,9 +11,10 @@
 //!
 //! [`BatchEncoder`] owns the display geometry and a small most-recently-used
 //! cache of eccentricity maps keyed by the exact gaze sample, and feeds the
-//! cached map into [`PerceptualEncoder::encode_frame_with_map`]. Cache hits
-//! change *where the map comes from*, never its contents, so the encoded
-//! stream is bit-identical to calling the one-shot encoder per frame.
+//! cached map into the encoder's one adjustment implementation,
+//! [`PerceptualEncoder::adjust_frame_with_map_into`]. Cache hits change
+//! *where the map comes from*, never its contents, so the encoded stream is
+//! bit-identical to calling the one-shot encoder per frame.
 
 use crate::config::EncoderConfig;
 use crate::encoder::{
@@ -98,7 +99,7 @@ pub struct BatchEncoder<M> {
     next_frame_index: u32,
 }
 
-impl<M: DiscriminationModel + Sync> BatchEncoder<M> {
+impl<M: DiscriminationModel> BatchEncoder<M> {
     /// Creates a session for one display from a discrimination model and an
     /// encoder configuration.
     pub fn new(model: M, config: EncoderConfig, display: DisplayGeometry) -> Self {

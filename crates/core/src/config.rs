@@ -65,13 +65,6 @@ pub struct EncoderConfig {
     /// The axes the adjustment is attempted along; the result with the
     /// smaller Δ cost wins. The paper uses Blue and Red.
     pub axes: Vec<RgbAxis>,
-    /// Number of worker threads for frame encoding (1 = sequential).
-    ///
-    /// A struct-literal (or deserialized) 0 is normalized to 1 at encoder
-    /// construction — `PerceptualEncoder::new` and `BdEncoder::with_threads`
-    /// are the single normalization points; no call site needs a `.max(1)`
-    /// guard.
-    pub threads: usize,
     /// Temporal (inter-frame) coding; disabled by default.
     #[serde(default)]
     pub temporal: TemporalConfig,
@@ -83,7 +76,6 @@ impl Default for EncoderConfig {
             tile_size: DEFAULT_TILE_SIZE,
             fovea: FoveaConfig::default(),
             axes: RgbAxis::OPTIMIZED.to_vec(),
-            threads: 1,
             temporal: TemporalConfig::default(),
         }
     }
@@ -121,17 +113,6 @@ impl EncoderConfig {
         self
     }
 
-    /// Returns a copy that encodes tiles on `threads` worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "thread count must be non-zero");
-        self.threads = threads;
-        self
-    }
-
     /// Returns a copy with the given temporal coding configuration.
     pub fn with_temporal(mut self, temporal: TemporalConfig) -> Self {
         self.temporal = temporal;
@@ -148,7 +129,6 @@ mod tests {
         let c = EncoderConfig::default();
         assert_eq!(c.tile_size, 4);
         assert_eq!(c.axes, vec![RgbAxis::Blue, RgbAxis::Red]);
-        assert_eq!(c.threads, 1);
         assert!((c.fovea.bypass_radius_deg - 5.0).abs() < 1e-12);
         assert!(!c.temporal.enabled, "temporal coding is opt-in");
     }
@@ -171,11 +151,9 @@ mod tests {
         let c = EncoderConfig::default()
             .with_tile_size(8)
             .with_axes(vec![RgbAxis::Blue])
-            .with_threads(4)
             .with_fovea(FoveaConfig::disabled());
         assert_eq!(c.tile_size, 8);
         assert_eq!(c.axes, vec![RgbAxis::Blue]);
-        assert_eq!(c.threads, 4);
         assert_eq!(c.fovea.bypass_radius_deg, 0.0);
     }
 

@@ -1,8 +1,6 @@
 //! The full-frame perceptual encoder.
 
-use crate::adjust::{
-    adjust_frame_tile, AdjustScratch, AdjustmentCase, ClosedForm, TileAdjustOutcome,
-};
+use crate::adjust::{adjust_frame_tile, AdjustScratch, ClosedForm, TileAdjustOutcome};
 use crate::config::EncoderConfig;
 use crate::stats::AdjustmentStats;
 use pvc_bdc::{
@@ -14,19 +12,6 @@ use pvc_frame::{Dimensions, LinearFrame, SrgbFrame, SrgbTileLanes, TileGrid, Til
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// What one worker decided about one tile. Collected in tile order so the
-/// fold below is deterministic regardless of the thread count.
-enum TileOutcome {
-    /// The tile overlaps the foveal bypass region and is copied through.
-    Foveal,
-    /// The tile was adjusted; carries the replacement pixels.
-    Adjusted {
-        tile: TileRect,
-        pixels: Vec<LinearRgb>,
-        case: AdjustmentCase,
-    },
-}
 
 /// The color perception-aware frame encoder (Fig. 7 of the paper).
 ///
@@ -44,16 +29,10 @@ pub struct PerceptualEncoder<M> {
     bd: BdEncoder,
 }
 
-impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
+impl<M: DiscriminationModel> PerceptualEncoder<M> {
     /// Creates an encoder from a discrimination model and a configuration.
-    ///
-    /// `config.threads` is normalized here, in one place: the public field
-    /// permits 0 via a struct literal (or deserialization), which means
-    /// sequential — the encoder never needs a thread-count guard again.
-    pub fn new(model: M, mut config: EncoderConfig) -> Self {
-        config.threads = config.threads.max(1);
-        let bd =
-            BdEncoder::new(BdConfig::with_tile_size(config.tile_size)).with_threads(config.threads);
+    pub fn new(model: M, config: EncoderConfig) -> Self {
+        let bd = BdEncoder::new(BdConfig::with_tile_size(config.tile_size));
         PerceptualEncoder { model, config, bd }
     }
 
@@ -90,47 +69,27 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
         );
         let grid = TileGrid::new(frame.dimensions(), self.config.tile_size);
         let eccentricity = EccentricityMap::per_tile(display, &grid, gaze, self.config.fovea);
-        self.adjust_frame_with_map(frame, &eccentricity)
+        let mut adjusted = LinearFrame::filled(Dimensions::new(1, 1), LinearRgb::BLACK);
+        let stats = self.adjust_frame_with_map_into(
+            frame,
+            &eccentricity,
+            &mut AdjustScratch::new(),
+            &mut adjusted,
+        );
+        (adjusted, stats)
     }
 
-    /// Like [`Self::adjust_frame`], but reuses a prebuilt eccentricity map.
+    /// The single implementation of the adjustment: like
+    /// [`Self::adjust_frame`], but reuses a prebuilt eccentricity map,
+    /// writes the adjusted frame into a caller-provided buffer and runs the
+    /// per-tile machinery out of a caller-provided [`AdjustScratch`].
     ///
     /// The map only depends on the display geometry, tile grid, gaze and
     /// fovea configuration — not on pixel data — so a session encoding many
     /// frames at the same gaze (see [`crate::BatchEncoder`]) can build it
-    /// once and amortise its cost across the stream.
-    ///
-    /// The per-tile fan-out runs on `EncoderConfig::threads` scoped worker
-    /// threads; tile outcomes are folded in tile order, so the result is
-    /// bit-identical to the sequential path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map's tile size or tile counts do not match this
-    /// encoder's configuration and the frame's dimensions.
-    pub fn adjust_frame_with_map(
-        &self,
-        frame: &LinearFrame,
-        eccentricity: &EccentricityMap,
-    ) -> (LinearFrame, AdjustmentStats) {
-        let mut adjusted = LinearFrame::filled(Dimensions::new(1, 1), LinearRgb::BLACK);
-        let mut scratch = AdjustScratch::new();
-        let stats =
-            self.adjust_frame_with_map_into(frame, eccentricity, &mut scratch, &mut adjusted);
-        (adjusted, stats)
-    }
-
-    /// Like [`Self::adjust_frame_with_map`], but writes the adjusted frame
-    /// into a caller-provided buffer and runs the per-tile machinery out
-    /// of a caller-provided [`AdjustScratch`] — the steady-state
-    /// allocation-free form of the adjustment.
-    ///
-    /// Bit-identical to `adjust_frame_with_map` on the same inputs. With
-    /// `threads <= 1` every tile is adjusted in place through the scratch
-    /// (no allocation once the buffers are warm); the parallel path gets
-    /// one scratch per worker via
-    /// [`pvc_parallel::parallel_chunk_map_init`] and only allocates the
-    /// per-tile result pixels it has to send across threads.
+    /// once and amortise its cost across the stream. Every tile is adjusted
+    /// in place through the scratch, so once its buffers are warm the
+    /// adjustment performs no allocation.
     ///
     /// # Panics
     ///
@@ -162,64 +121,17 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
         // The closed form's constants: once per frame, shared by every tile.
         let closed_form = self.model.fixed_shape().and_then(ClosedForm::new);
         let closed_form = closed_form.as_ref();
-
-        if self.config.threads <= 1 {
-            // Sequential: adjust straight through the caller's scratch and
-            // write each winning tile's lanes into `out` — no per-tile
-            // allocation.
-            for tile in grid.tiles() {
-                if eccentricity.is_foveal_tile(tile) {
-                    stats.foveal_tiles += 1;
-                    continue;
-                }
-                let outcome =
-                    self.adjust_tile_into_scratch(frame, eccentricity, tile, closed_form, scratch);
-                stats.record_case(outcome.case);
-                out.write_tile_lanes(tile, scratch.winner(&outcome));
+        // Adjust straight through the caller's scratch and write each
+        // winning tile's lanes into `out` — no per-tile allocation.
+        for tile in grid.tiles() {
+            if eccentricity.is_foveal_tile(tile) {
+                stats.foveal_tiles += 1;
+                continue;
             }
-            return stats;
-        }
-
-        // Parallel: one scratch per worker; only the winning pixels of
-        // each adjusted tile cross the thread boundary.
-        let tiles: Vec<TileRect> = grid.tiles().collect();
-        let outcomes = pvc_parallel::parallel_chunk_map_init(
-            &tiles,
-            self.config.threads,
-            AdjustScratch::new,
-            |worker_scratch, tile_batch| {
-                tile_batch
-                    .iter()
-                    .map(|&tile| {
-                        if eccentricity.is_foveal_tile(tile) {
-                            return TileOutcome::Foveal;
-                        }
-                        let outcome = self.adjust_tile_into_scratch(
-                            frame,
-                            eccentricity,
-                            tile,
-                            closed_form,
-                            worker_scratch,
-                        );
-                        let mut pixels = Vec::new();
-                        worker_scratch.winner(&outcome).scatter_into(&mut pixels);
-                        TileOutcome::Adjusted {
-                            tile,
-                            case: outcome.case,
-                            pixels,
-                        }
-                    })
-                    .collect()
-            },
-        );
-        for outcome in outcomes {
-            match outcome {
-                TileOutcome::Foveal => stats.foveal_tiles += 1,
-                TileOutcome::Adjusted { tile, pixels, case } => {
-                    stats.record_case(case);
-                    out.write_tile(tile, &pixels);
-                }
-            }
+            let outcome =
+                self.adjust_tile_into_scratch(frame, eccentricity, tile, closed_form, scratch);
+            stats.record_case(outcome.case);
+            out.write_tile_lanes(tile, scratch.winner(&outcome));
         }
         stats
     }
@@ -268,26 +180,32 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
     }
 
     /// Like [`Self::encode_frame`], but reuses a prebuilt eccentricity map
-    /// (see [`Self::adjust_frame_with_map`]).
+    /// (see [`Self::adjust_frame_with_map_into`]).
     ///
     /// # Panics
     ///
     /// Panics if the map does not match the frame and encoder configuration.
-    pub fn encode_frame_with_map(
+    pub(crate) fn encode_frame_with_map(
         &self,
         frame: &LinearFrame,
         eccentricity: &EccentricityMap,
     ) -> PerceptualEncodeResult {
-        let (adjusted_linear, stats) = self.adjust_frame_with_map(frame, eccentricity);
-        self.bd_encode(frame, adjusted_linear, stats)
+        let mut adjusted = LinearFrame::filled(Dimensions::new(1, 1), LinearRgb::BLACK);
+        let stats = self.adjust_frame_with_map_into(
+            frame,
+            eccentricity,
+            &mut AdjustScratch::new(),
+            &mut adjusted,
+        );
+        self.bd_encode(frame, adjusted, stats)
     }
 
     /// The serving encode: adjusts the frame, gamma-encodes it and packs
     /// the BD payload straight into `out`, returning only the per-frame
     /// statistics. The payload is either an intra keyframe — bit-identical
-    /// to [`Self::encode_frame_with_map`]'s `encoded.to_bitstream()` — or,
-    /// with temporal coding enabled, a predicted frame of per-tile Skip /
-    /// Delta / Intra records against `history`.
+    /// to [`Self::encode_frame`]'s `encoded.to_bitstream()` at the same
+    /// gaze — or, with temporal coding enabled, a predicted frame of
+    /// per-tile Skip / Delta / Intra records against `history`.
     ///
     /// A frame is a keyframe when temporal coding is disabled, when its
     /// absolute `frame_index` is a multiple of
@@ -300,13 +218,10 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
     /// copy for it.
     ///
     /// Every intermediate (adjusted frame, sRGB frame, tile buffers, bit
-    /// packing) lives in `scratch`, so once the buffers are warm a
-    /// sequential encoder performs **zero** steady-state allocation per
-    /// frame. This is the per-frame hot path of a streaming session
-    /// (`pvc_stream` shard workers call it through
-    /// `BatchEncoder::encode_frame_stream_into`). Temporal packing is
-    /// sequential regardless of `EncoderConfig::threads`, so the emitted
-    /// bytes are thread-invariant either way.
+    /// packing) lives in `scratch`, so once the buffers are warm the
+    /// encoder performs **zero** steady-state allocation per frame. This is
+    /// the per-frame hot path of a streaming session (`pvc_stream` shard
+    /// workers call it through `BatchEncoder::encode_frame_stream_into`).
     ///
     /// # Panics
     ///
@@ -389,7 +304,6 @@ impl<M: DiscriminationModel + Sync> PerceptualEncoder<M> {
             adjusted,
             encoded,
             baseline: OnceLock::new(),
-            bd_threads: self.config.threads,
             stats,
         }
     }
@@ -554,10 +468,6 @@ pub struct PerceptualEncodeResult {
     /// rebuilt on first access after a round-trip anyway).
     #[serde(skip)]
     baseline: OnceLock<BdEncodedFrame>,
-    /// Thread count the baseline encode should use, mirroring the encoder.
-    /// Skipped by serde; a deserialized 0 is treated as sequential.
-    #[serde(skip)]
-    bd_threads: usize,
     /// Per-tile adjustment statistics.
     pub stats: AdjustmentStats,
 }
@@ -581,14 +491,11 @@ impl PerceptualEncodeResult {
     /// figures compare against.
     ///
     /// Computed on first access (one extra BD pass, using the same tile
-    /// size and thread count as the perceptual encoding) and cached for the
-    /// lifetime of the result.
+    /// size as the perceptual encoding) and cached for the lifetime of the
+    /// result.
     pub fn baseline(&self) -> &BdEncodedFrame {
         self.baseline.get_or_init(|| {
-            // A deserialized result has bd_threads 0 (serde skip), which
-            // with_threads normalizes to sequential.
             BdEncoder::new(BdConfig::with_tile_size(self.encoded.tile_size()))
-                .with_threads(self.bd_threads)
                 .encode_frame(&self.original)
         })
     }
@@ -729,46 +636,6 @@ mod tests {
         assert!(s.case2_tiles > 0, "smooth scenes should exercise case 2");
     }
 
-    #[test]
-    fn zero_threads_field_encodes_sequentially_without_panicking() {
-        // The public field permits 0 via a struct literal, bypassing the
-        // with_threads assert; the encode path must treat it as sequential.
-        let frame = test_frame(SceneId::Office);
-        let display = DisplayGeometry::quest2_like(frame.dimensions());
-        let gaze = GazePoint::center_of(frame.dimensions());
-        let zero = PerceptualEncoder::new(
-            SyntheticDiscriminationModel::default(),
-            EncoderConfig {
-                threads: 0,
-                ..EncoderConfig::default()
-            },
-        );
-        let result = zero.encode_frame(&frame, &display, gaze);
-        assert_eq!(
-            result.encoded,
-            encoder().encode_frame(&frame, &display, gaze).encoded
-        );
-    }
-
-    #[test]
-    fn multithreaded_encoding_matches_sequential() {
-        let frame = test_frame(SceneId::Monkey);
-        let display = DisplayGeometry::quest2_like(frame.dimensions());
-        let gaze = GazePoint::center_of(frame.dimensions());
-        let sequential = PerceptualEncoder::new(
-            SyntheticDiscriminationModel::default(),
-            EncoderConfig::default().with_threads(1),
-        )
-        .encode_frame(&frame, &display, gaze);
-        let parallel = PerceptualEncoder::new(
-            SyntheticDiscriminationModel::default(),
-            EncoderConfig::default().with_threads(4),
-        )
-        .encode_frame(&frame, &display, gaze);
-        assert_eq!(sequential.adjusted, parallel.adjusted);
-        assert_eq!(sequential.stats, parallel.stats);
-    }
-
     /// Runs the serving path once, intra-only, on a fresh history.
     fn serve(
         enc: &PerceptualEncoder<SyntheticDiscriminationModel>,
@@ -804,23 +671,6 @@ mod tests {
             assert_eq!(stats.compression, expected.our_stats());
             assert!(stats.temporal.keyframe);
         }
-    }
-
-    #[test]
-    fn scratch_stream_encode_matches_across_thread_counts() {
-        let frame = test_frame(SceneId::Monkey);
-        let display = DisplayGeometry::quest2_like(frame.dimensions());
-        let gaze = GazePoint::center_of(frame.dimensions());
-        let mut reference = Vec::new();
-        let mut parallel = Vec::new();
-        for (threads, out) in [(1usize, &mut reference), (4, &mut parallel)] {
-            let enc = PerceptualEncoder::new(
-                SyntheticDiscriminationModel::default(),
-                EncoderConfig::default().with_threads(threads),
-            );
-            serve(&enc, &frame, &display, gaze, &mut StreamScratch::new(), out);
-        }
-        assert_eq!(reference, parallel);
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //!   planes, case-1/case-2 moves of Fig. 6),
 //! * [`encoder`] — the full-frame [`PerceptualEncoder`] that combines the
 //!   gaze-dependent eccentricity map, the foveal bypass, the per-tile
-//!   adjustment along both candidate axes, and the existing BD back-end
-//!   (optionally fanned out over worker threads via
-//!   [`EncoderConfig::threads`]),
+//!   adjustment along both candidate axes, and the existing BD back-end,
 //! * [`batch`] — the [`BatchEncoder`] session API that amortises
 //!   eccentricity-map construction across a gaze-stream of frames,
 //! * [`solver`] — an iterative reference solver for the relaxed optimization

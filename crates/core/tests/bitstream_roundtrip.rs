@@ -8,9 +8,8 @@
 //! (`encode_frame(..).encoded.to_bitstream()`), and because BD is
 //! numerically lossless they must reconstruct the *adjusted* frame
 //! bit-for-bit — across arbitrary dimensions (including non-tile-multiple
-//! edges), every resolution tier's effective tile size (4 for the
-//! Quest-class tiers, 8 for the Vision-class override), and both serial
-//! and 4-thread encoders.
+//! edges) and every resolution tier's effective tile size (4 for the
+//! Quest-class tiers, 8 for the Vision-class override).
 
 use proptest::prelude::*;
 use pvc_bdc::BdDecoder;
@@ -24,15 +23,13 @@ use pvc_scenes::{SceneConfig, SceneId, SceneRenderer};
 /// default (4), VisionClass overrides to 8 (`ResolutionTier::tile_size`).
 const TIER_TILE_SIZES: [u32; 3] = [4, 4, 8];
 
-fn roundtrip(width: u32, height: u32, tile_size: u32, threads: usize, seed: u64) {
+fn roundtrip(width: u32, height: u32, tile_size: u32, seed: u64) {
     let dims = Dimensions::new(width, height);
     let renderer = SceneRenderer::new(SceneId::by_index(seed as usize), {
         SceneConfig::new(dims).with_seed(seed)
     });
     let frame = renderer.render_linear((seed % 7) as u32);
-    let config = EncoderConfig::default()
-        .with_tile_size(tile_size)
-        .with_threads(threads);
+    let config = EncoderConfig::default().with_tile_size(tile_size);
     let encoder = PerceptualEncoder::new(SyntheticDiscriminationModel::default(), config);
     let display = DisplayGeometry::quest2_like(dims);
     let gaze = GazePoint::new(
@@ -69,36 +66,26 @@ fn roundtrip(width: u32, height: u32, tile_size: u32, threads: usize, seed: u64)
 }
 
 proptest! {
-    /// Arbitrary frame geometry × tier tile sizes × serial/parallel.
+    /// Arbitrary frame geometry × tier tile sizes.
     #[test]
     fn stream_bytes_reconstruct_the_adjusted_frame(
         width in 5u32..48,
         height in 5u32..48,
         tier in 0u32..3,
-        threads in 0u32..2,
         seed in any::<u64>(),
     ) {
-        roundtrip(
-            width,
-            height,
-            TIER_TILE_SIZES[tier as usize],
-            [1, 4][threads as usize],
-            seed,
-        );
+        roundtrip(width, height, TIER_TILE_SIZES[tier as usize], seed);
     }
 }
 
 /// Deterministic edge pins: dimensions that are not multiples of the tile
 /// size (ragged right/bottom tiles), single-pixel rows/columns, and a
-/// tile larger than the frame — for every tier tile size and both thread
-/// counts.
+/// tile larger than the frame — for every tier tile size.
 #[test]
 fn non_tile_multiple_edges_roundtrip() {
     for &(width, height) in &[(13, 9), (9, 13), (1, 17), (17, 1), (5, 5), (33, 31)] {
         for &tile_size in &TIER_TILE_SIZES {
-            for threads in [1, 4] {
-                roundtrip(width, height, tile_size, threads, 11);
-            }
+            roundtrip(width, height, tile_size, 11);
         }
     }
 }

@@ -405,7 +405,7 @@ fn poisoned(mut frame: LinearFrame) -> LinearFrame {
     frame
 }
 
-fn check_frame_path<M: DiscriminationModel + Clone + Sync>(model: M) {
+fn check_frame_path<M: DiscriminationModel + Clone>(model: M) {
     let dims = Dimensions::new(70, 45);
     let display = DisplayGeometry::quest2_like(dims);
     let gazes = [GazePoint::center_of(dims), GazePoint::new(9.0, 38.0)];
@@ -417,31 +417,23 @@ fn check_frame_path<M: DiscriminationModel + Clone + Sync>(model: M) {
         let rendered = SceneRenderer::new(scene, SceneConfig::new(dims)).render_linear(3);
         for (frame, is_poisoned) in [(rendered.clone(), false), (poisoned(rendered), true)] {
             for tile_size in [4, 8] {
-                for threads in [1, 4] {
-                    let config = EncoderConfig::default()
-                        .with_tile_size(tile_size)
-                        .with_threads(threads);
-                    let encoder = PerceptualEncoder::new(model.clone(), config.clone());
-                    let grid = TileGrid::new(dims, tile_size);
-                    for gaze in gazes {
-                        let map = EccentricityMap::per_tile(&display, &grid, gaze, config.fovea);
-                        let stats = encoder.adjust_frame_with_map_into(
-                            &frame,
-                            &map,
-                            &mut scratch,
-                            &mut out,
-                        );
-                        let (want, want_stats) = aos_adjust_frame(&model, &config, &frame, &map);
-                        let label = format!(
-                            "{} scene {scene:?}, tile {tile_size}, threads {threads}, gaze {gaze:?}",
-                            model.name()
-                        );
-                        assert_eq!(stats, want_stats, "{label}");
-                        assert_eq!(out.dimensions(), want.dimensions(), "{label}");
-                        assert!(frame_bits(&out) == frame_bits(&want), "{label}");
-                        if !is_poisoned {
-                            assert_inside_ellipsoids(&model, &config, &frame, &map, &out, &label);
-                        }
+                let config = EncoderConfig::default().with_tile_size(tile_size);
+                let encoder = PerceptualEncoder::new(model.clone(), config.clone());
+                let grid = TileGrid::new(dims, tile_size);
+                for gaze in gazes {
+                    let map = EccentricityMap::per_tile(&display, &grid, gaze, config.fovea);
+                    let stats =
+                        encoder.adjust_frame_with_map_into(&frame, &map, &mut scratch, &mut out);
+                    let (want, want_stats) = aos_adjust_frame(&model, &config, &frame, &map);
+                    let label = format!(
+                        "{} scene {scene:?}, tile {tile_size}, gaze {gaze:?}",
+                        model.name()
+                    );
+                    assert_eq!(stats, want_stats, "{label}");
+                    assert_eq!(out.dimensions(), want.dimensions(), "{label}");
+                    assert!(frame_bits(&out) == frame_bits(&want), "{label}");
+                    if !is_poisoned {
+                        assert_inside_ellipsoids(&model, &config, &frame, &map, &out, &label);
                     }
                 }
             }

@@ -1,24 +1,19 @@
-//! Deterministic scoped-thread fan-out for the encoder hot paths.
+//! Threading primitives for the streaming runtime's long-lived shard
+//! workers.
 //!
-//! The perceptual encoder and the BD codec both process a frame as an
-//! ordered list of independent tiles, so their parallel paths share one
-//! primitive: split the work-list into contiguous chunks, process the
-//! chunks on scoped worker threads, and stitch the results back together
-//! *in order*. Because every item is processed by a pure function and the
-//! output order is the input order, the parallel result is bit-identical
-//! to the sequential one — the property the round-trip tests pin down.
+//! Parallelism in the serving path comes from shards: each shard worker
+//! runs its sessions one frame at a time, and every frame is encoded
+//! sequentially on that worker's thread. This crate holds the pieces the
+//! shards are wired from:
 //!
-//! The implementation uses [`std::thread::scope`], so it needs no external
-//! runtime (the environment cannot fetch `rayon`; this module is the
-//! drop-in stand-in and the single place to swap a work-stealing pool in
-//! later).
-//!
-//! # Examples
-//!
-//! ```
-//! let squares = pvc_parallel::parallel_map(&[1u64, 2, 3, 4], 2, |&x| x * x);
-//! assert_eq!(squares, vec![1, 4, 9, 16]);
-//! ```
+//! * [`bounded_queue`] — the data plane between a shard's renderer and its
+//!   encoder, with backpressure-stall and depth accounting;
+//! * [`control_channel`] — the never-blocking control plane a worker waits
+//!   on when idle and polls between frames;
+//! * [`Gauge`] — a shared, saturating load counter for placement
+//!   telemetry;
+//! * [`available_threads`] — the machine's usable core count, for shard
+//!   count defaults.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,146 +26,8 @@ pub use control::{control_channel, ControlClosed, ControlPoll, ControlReceiver, 
 pub use gauge::Gauge;
 pub use queue::{bounded_queue, BoundedReceiver, BoundedSender, QueueClosed, QueueStats};
 
-/// Smallest number of items per worker for which spawning threads can pay
-/// off; below `threads * MIN_ITEMS_PER_THREAD` items the map runs inline.
-pub const MIN_ITEMS_PER_THREAD: usize = 2;
-
-/// Maps `f` over `items` on up to `threads` scoped worker threads,
-/// returning the outputs in input order.
-///
-/// With `threads <= 1`, or when the work-list is too small to amortise
-/// thread spawns, the map runs sequentially on the calling thread. The
-/// output is identical in both paths.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` (the scope joins all workers first).
-pub fn parallel_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    parallel_chunk_map(items, threads, |chunk| chunk.iter().map(&f).collect())
-}
-
-/// Maps `f` over contiguous chunks of `items` on up to `threads` scoped
-/// worker threads, concatenating the per-chunk outputs in input order.
-///
-/// This is the primitive behind [`parallel_map`]; use it directly when the
-/// worker wants to amortise per-chunk state (a stats accumulator, a scratch
-/// buffer) across the items of its chunk.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` (the scope joins all workers first).
-pub fn parallel_chunk_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&[T]) -> Vec<U> + Sync,
-{
-    parallel_chunk_map_init(items, threads, || (), |(), chunk| f(chunk))
-}
-
-/// Like [`parallel_map`], but each worker thread first builds private
-/// state with `init` and reuses it across every item of its chunk.
-///
-/// This is the scratch-buffer fan-out: per-tile adjustment wants one
-/// `AdjustScratch`-style set of reusable buffers *per thread*, not per
-/// tile. `init` runs once per worker (once total on the sequential path),
-/// so the number of state constructions is bounded by `threads`, never by
-/// `items.len()`.
-///
-/// # Panics
-///
-/// Propagates a panic from `init` or `f` (the scope joins all workers
-/// first).
-pub fn parallel_map_init<T, U, S, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> U + Sync,
-{
-    parallel_chunk_map_init(items, threads, init, |state, chunk| {
-        chunk.iter().map(|item| f(state, item)).collect()
-    })
-}
-
-/// The per-worker-state primitive behind [`parallel_map_init`] (and, with
-/// unit state, [`parallel_chunk_map`]): each worker builds one `S` with
-/// `init`, then maps `f` over contiguous chunks of `items`, concatenating
-/// the per-chunk outputs in input order.
-///
-/// # Panics
-///
-/// Propagates a panic from `init` or `f` (the scope joins all workers
-/// first).
-pub fn parallel_chunk_map_init<T, U, S, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &[T]) -> Vec<U> + Sync,
-{
-    if threads <= 1 || items.len() < threads * MIN_ITEMS_PER_THREAD {
-        return f(&mut init(), items);
-    }
-    let chunk_len = items.len().div_ceil(threads);
-    let mut results: Vec<Vec<U>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let init = &init;
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .map(|chunk| scope.spawn(move || f(&mut init(), chunk)))
-            .collect();
-        for handle in handles {
-            results.push(handle.join().expect("parallel worker panicked"));
-        }
-    });
-    results.into_iter().flatten().collect()
-}
-
-/// Runs one closure per shard on scoped worker threads, returning the
-/// results in shard order.
-///
-/// This is the serving-side counterpart of [`parallel_chunk_map`]: instead
-/// of splitting one homogeneous work-list, each shard owns a *stream* of
-/// work (its sessions, its caches) for the whole call. The closure receives
-/// its shard index; results are joined in index order, so any
-/// per-shard-deterministic computation yields the same output regardless of
-/// how the shards interleave in time.
-///
-/// With a single shard the closure runs inline on the calling thread.
-///
-/// # Panics
-///
-/// Panics if `shards` is zero, and propagates a panic from any shard (the
-/// scope joins all workers first).
-pub fn shard_map<R, F>(shards: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    assert!(shards > 0, "shard count must be non-zero");
-    if shards == 1 {
-        return vec![f(0)];
-    }
-    let mut results = Vec::with_capacity(shards);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards).map(|s| scope.spawn(move || f(s))).collect();
-        for handle in handles {
-            results.push(handle.join().expect("shard worker panicked"));
-        }
-    });
-    results
-}
-
 /// The number of worker threads that saturates the current machine, for
-/// callers that want a good default for the `threads` knob.
+/// callers that want a good default shard count.
 pub fn available_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
@@ -180,137 +37,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sequential_and_parallel_agree() {
-        let items: Vec<u32> = (0..1000).collect();
-        let serial = parallel_map(&items, 1, |&x| x.wrapping_mul(2654435761));
-        for threads in [2, 3, 4, 8, 16] {
-            assert_eq!(
-                parallel_map(&items, threads, |&x| x.wrapping_mul(2654435761)),
-                serial
-            );
-        }
-    }
-
-    #[test]
-    fn chunk_map_preserves_order_with_stateful_chunks() {
-        let items: Vec<usize> = (0..777).collect();
-        let out = parallel_chunk_map(&items, 4, |chunk| {
-            let mut acc = Vec::with_capacity(chunk.len());
-            for &x in chunk {
-                acc.push(x + 1);
-            }
-            acc
-        });
-        assert_eq!(out, (1..=777).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_init_builds_state_once_per_worker() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let items: Vec<u64> = (0..500).collect();
-        let inits = AtomicUsize::new(0);
-        let out = parallel_map_init(
-            &items,
-            4,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                Vec::<u64>::new()
-            },
-            |scratch, &x| {
-                // The scratch is genuinely reused: grow it once, then reuse
-                // the capacity for every later item of the chunk.
-                scratch.clear();
-                scratch.extend_from_slice(&[x, x + 1]);
-                scratch.iter().sum::<u64>()
-            },
-        );
-        assert_eq!(out, (0..500).map(|x| 2 * x + 1).collect::<Vec<_>>());
-        let constructed = inits.load(Ordering::Relaxed);
-        assert!(
-            (1..=4).contains(&constructed),
-            "one state per worker, got {constructed}"
-        );
-    }
-
-    #[test]
-    fn map_init_matches_plain_map_for_every_thread_count() {
-        let items: Vec<u32> = (0..333).collect();
-        let expected = parallel_map(&items, 1, |&x| x.wrapping_mul(2654435761));
-        for threads in [1, 2, 3, 8] {
-            let got =
-                parallel_map_init(&items, threads, || 0u32, |_, &x| x.wrapping_mul(2654435761));
-            assert_eq!(got, expected);
-        }
-    }
-
-    #[test]
-    fn map_init_runs_inline_with_one_thread() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let inits = AtomicUsize::new(0);
-        let items: Vec<u8> = (0..100).collect();
-        let out = parallel_map_init(
-            &items,
-            1,
-            || inits.fetch_add(1, Ordering::Relaxed),
-            |_, &x| x,
-        );
-        assert_eq!(out, items);
-        assert_eq!(inits.load(Ordering::Relaxed), 1, "sequential: one state");
-    }
-
-    #[test]
-    fn small_inputs_run_inline() {
-        let items = [1, 2, 3];
-        assert_eq!(parallel_map(&items, 8, |&x| x * 10), vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn empty_input_yields_empty_output() {
-        let items: [u8; 0] = [];
-        assert!(parallel_map(&items, 4, |&x| x).is_empty());
-    }
-
-    #[test]
-    fn more_threads_than_items_is_fine() {
-        let items: Vec<u32> = (0..5).collect();
-        assert_eq!(parallel_map(&items, 64, |&x| x), items);
-    }
-
-    #[test]
     fn available_threads_is_positive() {
         assert!(available_threads() >= 1);
-    }
-
-    #[test]
-    fn shard_map_returns_results_in_shard_order() {
-        for shards in [1, 2, 3, 8] {
-            let out = shard_map(shards, |s| s * 10);
-            assert_eq!(out, (0..shards).map(|s| s * 10).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count must be non-zero")]
-    fn zero_shards_panic() {
-        let _ = shard_map(0, |s| s);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard worker panicked")]
-    fn shard_panics_propagate() {
-        let _ = shard_map(4, |s| {
-            assert!(s < 3, "boom");
-            s
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "parallel worker panicked")]
-    fn worker_panics_propagate() {
-        let items: Vec<u32> = (0..64).collect();
-        let _ = parallel_map(&items, 4, |&x| {
-            assert!(x < 60, "boom");
-            x
-        });
     }
 }

@@ -1,7 +1,7 @@
 //! Property test: the full temporal serving pipeline — encode →
 //! wire-frame records → [`WireReader`] → stateful [`BdDecoder`] —
 //! reconstructs the adjusted frames bit-exactly for random dimensions,
-//! keyframe cadences, tier tile sizes and thread counts.
+//! keyframe cadences and tier tile sizes.
 //!
 //! A second property drives [`WireReader::resync`] mid-GOP: when a
 //! predicted frame's record is destroyed in transit, the reader recovers
@@ -27,16 +27,8 @@ struct EncodedSession {
     adjusted: Vec<SrgbFrame>,
 }
 
-fn encode_session(
-    dims: Dimensions,
-    interval: u32,
-    tile_size: u32,
-    threads: usize,
-    frames: u32,
-) -> EncodedSession {
-    let base = EncoderConfig::default()
-        .with_tile_size(tile_size)
-        .with_threads(threads);
+fn encode_session(dims: Dimensions, interval: u32, tile_size: u32, frames: u32) -> EncodedSession {
+    let base = EncoderConfig::default().with_tile_size(tile_size);
     let display = DisplayGeometry::quest2_like(dims);
     let mut temporal = BatchEncoder::new(
         SyntheticDiscriminationModel::default(),
@@ -101,11 +93,10 @@ proptest! {
         height in 8u32..=32,
         interval in (0u32..3).prop_map(|i| [1u32, 3, 8][i as usize]),
         tile_size in (0u32..2).prop_map(|i| [4u32, 8][i as usize]),
-        threads in (0u32..2).prop_map(|i| [1usize, 4][i as usize]),
         frames in 5u32..=9,
     ) {
         let dims = Dimensions::new(width, height);
-        let session = encode_session(dims, interval, tile_size, threads, frames);
+        let session = encode_session(dims, interval, tile_size, frames);
         let (bytes, _) = to_wire(&session, dims, tile_size);
 
         let mut reader = WireReader::new(&bytes);
@@ -153,13 +144,12 @@ proptest! {
         height in 8u32..=32,
         interval in (0u32..2).prop_map(|i| [3u32, 8][i as usize]),
         tile_size in (0u32..2).prop_map(|i| [4u32, 8][i as usize]),
-        threads in (0u32..2).prop_map(|i| [1usize, 4][i as usize]),
         extra in 0u32..=2,
     ) {
         // Enough frames that a keyframe follows the destroyed one.
         let frames = interval + 2 + extra;
         let dims = Dimensions::new(width, height);
-        let session = encode_session(dims, interval, tile_size, threads, frames);
+        let session = encode_session(dims, interval, tile_size, frames);
         let (mut bytes, ranges) = to_wire(&session, dims, tile_size);
 
         // Destroy frame 1 — the first predicted frame, mid-GOP. Zero fill:
