@@ -2,9 +2,26 @@
 //!
 //! The size accounting in [`crate::stats`] is exact, but to make the codec
 //! honest the encoded frame can also be packed into an actual byte stream
-//! and decoded back. The writer packs bits MSB-first.
+//! and decoded back.
+//!
+//! The contract of the bit I/O: a field of `count` bits is the low `count`
+//! bits of its value, written most significant bit first; fields follow
+//! each other with no alignment; the partial final byte is zero-padded, and
+//! [`BitWriter::as_bytes`] shows it so at every point. Both ends move whole
+//! words: the writer builds each write in a `u64` together with the used
+//! bits of the partial byte and appends whole bytes, and the reader shifts
+//! each read out of one 8-byte big-endian window.
+//!
+//! Every BD channel record, `base (8) | delta_bits (4) | deltas`, is
+//! written by one crate-private packer, `BitWriter::write_channel_record`,
+//! and read by one unpacker, `BitReader::read_channel_record`, whichever
+//! frame kind carries it.
 
+use crate::tile_codec::{BASE_BITS, METADATA_BITS};
+use pvc_color::Srgb8;
+use pvc_frame::TileRect;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Errors produced while reading a bitstream.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -111,6 +128,11 @@ impl std::fmt::Display for BitstreamError {
 
 impl std::error::Error for BitstreamError {}
 
+/// Pending bits at which [`BitWriter::write_channel_record`] flushes its
+/// accumulator: below 56 pending bits one more field of up to 8 bits
+/// still fits the `u64`.
+const FLUSH_BITS: u32 = 56;
+
 /// An MSB-first bit writer backed by a growable byte buffer.
 ///
 /// # Examples
@@ -140,22 +162,93 @@ impl BitWriter {
     }
 
     /// Appends the low `count` bits of `value`, most significant first.
+    /// Bits of `value` above `count` are ignored.
     ///
     /// # Panics
     ///
     /// Panics if `count > 32`.
     pub fn write_bits(&mut self, value: u32, count: u32) {
         assert!(count <= 32, "cannot write more than 32 bits at once");
-        for i in (0..count).rev() {
-            let bit = (value >> i) & 1;
-            if self.bit_pos == 0 {
-                self.bytes.push(0);
-            }
-            let last = self.bytes.last_mut().expect("pushed above");
-            *last |= (bit as u8) << (7 - self.bit_pos);
-            self.bit_pos = (self.bit_pos + 1) % 8;
-            self.bits_written += 1;
+        if count == 0 {
+            return;
         }
+        let (partial, used) = self.take_partial_byte();
+        let value = u64::from(value) & ((1 << count) - 1);
+        self.append(partial << count | value, used + count);
+        self.bits_written += u64::from(count);
+    }
+
+    /// Appends one BD channel record, `base (8) | delta_bits (4) | offsets
+    /// (delta_bits each)`, the same bits as writing each field with
+    /// [`Self::write_bits`].
+    ///
+    /// Every field goes through one `u64` accumulator that starts with the
+    /// partial final byte and is flushed a run of whole bytes at a time.
+    /// This is the only writer of channel records: the intra encoders, the
+    /// materialized frame's bitstream and the temporal encoder's Delta and
+    /// Intra tiles all call it.
+    pub(crate) fn write_channel_record(
+        &mut self,
+        base: u8,
+        delta_bits: u8,
+        offsets: impl IntoIterator<Item = u8>,
+    ) {
+        let width = u32::from(delta_bits);
+        if width > 8 {
+            // Only a hand-built `ChannelEncoding` is this wide; the field
+            // would not fit the accumulator's flush margin.
+            self.write_bits(u32::from(base), BASE_BITS as u32);
+            self.write_bits(width, METADATA_BITS as u32);
+            for offset in offsets {
+                self.write_bits(u32::from(offset), width);
+            }
+            return;
+        }
+        let (partial, used) = self.take_partial_byte();
+        let header_bits = (BASE_BITS + METADATA_BITS) as u32;
+        let mut acc = partial << header_bits | u64::from(base) << METADATA_BITS | u64::from(width);
+        let mut pending = used + header_bits;
+        let mut written = u64::from(header_bits);
+        if width > 0 {
+            let mask = (1 << width) - 1;
+            for offset in offsets {
+                acc = acc << width | (u64::from(offset) & mask);
+                pending += width;
+                written += u64::from(width);
+                if pending >= FLUSH_BITS {
+                    let whole = pending / 8;
+                    self.bytes.extend_from_slice(
+                        &(acc << (64 - pending)).to_be_bytes()[..whole as usize],
+                    );
+                    pending -= whole * 8;
+                }
+            }
+        }
+        self.append(acc, pending);
+        self.bits_written += written;
+    }
+
+    /// Removes a partial final byte, returning its used bits right-aligned
+    /// and their count, so the next write can rebuild it whole.
+    fn take_partial_byte(&mut self) -> (u64, u32) {
+        let used = u32::from(self.bit_pos);
+        if used == 0 {
+            return (0, 0);
+        }
+        let byte = self.bytes.pop().expect("a used bit lives in a stored byte");
+        (u64::from(byte >> (8 - used)), used)
+    }
+
+    /// Appends the low `len` bits of `acc` (at most 64) as big-endian
+    /// bytes, zero-padding the last one.
+    fn append(&mut self, acc: u64, len: u32) {
+        self.bit_pos = (len % 8) as u8;
+        if len == 0 {
+            return;
+        }
+        let bytes = len.div_ceil(8) as usize;
+        self.bytes
+            .extend_from_slice(&(acc << (64 - len)).to_be_bytes()[..bytes]);
     }
 
     /// Total number of bits written so far.
@@ -225,15 +318,121 @@ impl<'a> BitReader<'a> {
                 remaining: self.remaining_bits(),
             });
         }
-        let mut value = 0u32;
-        for _ in 0..count {
-            let byte = self.bytes[(self.bit_index / 8) as usize];
-            let bit = (byte >> (7 - (self.bit_index % 8))) & 1;
-            value = (value << 1) | u32::from(bit);
-            self.bit_index += 1;
+        if count == 0 {
+            return Ok(0);
         }
+        let value = (self.window() >> (64 - count)) as u32;
+        self.bit_index += u64::from(count);
         Ok(value)
     }
+
+    /// Reads one BD channel record, `base (8) | delta_bits (4) | deltas`,
+    /// covering `tile` of a frame `stride` pixels wide, and hands each
+    /// pixel's channel-`channel` slot and its code `base + delta` to
+    /// `store`, in tile row-major order.
+    ///
+    /// This is the only reader of channel records: the intra decoder and
+    /// the temporal decoder's Delta and Intra tiles call it, and differ
+    /// only in `store`. A width over 8 is rejected, and the whole delta
+    /// payload must fit the remaining input before any of it is read.
+    pub(crate) fn read_channel_record(
+        &mut self,
+        tile: TileRect,
+        stride: usize,
+        pixels: &mut [Srgb8],
+        channel: usize,
+        store: impl Fn(&mut u8, u8),
+    ) -> Result<(), BitstreamError> {
+        let base = self.read_bits(BASE_BITS as u32)? as u8;
+        let delta_bits = self.read_bits(METADATA_BITS as u32)? as u8;
+        if delta_bits > 8 {
+            return Err(BitstreamError::InvalidHeader {
+                field: "delta bit length",
+            });
+        }
+        check_delta_payload(self, tile.pixel_count(), delta_bits)?;
+        let (x, width) = (tile.x as usize, tile.width as usize);
+        let rows = (tile.y as usize..(tile.y + tile.height) as usize)
+            .map(|y| y * stride + x..y * stride + x + width);
+        match channel {
+            0 => self.unpack_deltas(base, delta_bits, rows, pixels, |p| &mut p.r, store),
+            1 => self.unpack_deltas(base, delta_bits, rows, pixels, |p| &mut p.g, store),
+            _ => self.unpack_deltas(base, delta_bits, rows, pixels, |p| &mut p.b, store),
+        }
+        Ok(())
+    }
+
+    /// The delta loop of [`Self::read_channel_record`], after its checks:
+    /// one 8-byte window load serves `56 / delta_bits` deltas.
+    fn unpack_deltas(
+        &mut self,
+        base: u8,
+        delta_bits: u8,
+        rows: impl Iterator<Item = Range<usize>>,
+        pixels: &mut [Srgb8],
+        slot: impl Fn(&mut Srgb8) -> &mut u8,
+        store: impl Fn(&mut u8, u8),
+    ) {
+        let width = u32::from(delta_bits);
+        if width == 0 {
+            for row in rows {
+                for pixel in &mut pixels[row] {
+                    store(slot(pixel), base);
+                }
+            }
+            return;
+        }
+        // A window shifted by up to 7 bits keeps at least 57 valid bits.
+        let per_window = 56 / width;
+        let (mut window, mut left) = (0u64, 0);
+        for row in rows {
+            for pixel in &mut pixels[row] {
+                if left == 0 {
+                    window = self.window();
+                    left = per_window;
+                }
+                let delta = (window >> (64 - width)) as u8;
+                window <<= width;
+                left -= 1;
+                self.bit_index += u64::from(width);
+                store(slot(pixel), base.wrapping_add(delta));
+            }
+        }
+    }
+
+    /// The next 64 bits from the read position, MSB-first. Where fewer than
+    /// 8 bytes remain, the bytes past the end read as zero. The read
+    /// position must be inside the stream.
+    fn window(&self) -> u64 {
+        let byte = (self.bit_index / 8) as usize;
+        let word = match self.bytes.get(byte..byte + 8) {
+            Some(word) => u64::from_be_bytes(word.try_into().expect("an 8-byte slice")),
+            None => {
+                let rest = &self.bytes[byte..];
+                let mut tail = [0; 8];
+                tail[..rest.len()].copy_from_slice(rest);
+                u64::from_be_bytes(tail)
+            }
+        };
+        word << (self.bit_index % 8)
+    }
+}
+
+/// Checks that a channel's declared delta payload fits the remaining input
+/// before any of it is read.
+fn check_delta_payload(
+    r: &BitReader<'_>,
+    pixel_count: usize,
+    delta_bits: u8,
+) -> Result<(), BitstreamError> {
+    let required_bits = pixel_count as u64 * u64::from(delta_bits);
+    if required_bits > r.remaining_bits() {
+        return Err(BitstreamError::InsufficientInput {
+            required_bits,
+            remaining_bits: r.remaining_bits(),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -312,6 +511,29 @@ mod tests {
         w.write_bits(0b1, 1);
         let bytes = w.finish();
         assert_eq!(bytes, vec![0b1000_0000]);
+    }
+
+    #[test]
+    fn channel_records_match_field_by_field_writes() {
+        // Widths over 8 only come from a hand-built `ChannelEncoding`; the
+        // offsets carry junk above the width, which must be dropped.
+        let offsets: Vec<u8> = (0..37u8).map(|i| i.wrapping_mul(97) ^ 0xA5).collect();
+        for prefix in 0..8 {
+            for width in 0..=12u8 {
+                let mut packed = BitWriter::new();
+                let mut fields = BitWriter::new();
+                packed.write_bits(0x2B, prefix);
+                fields.write_bits(0x2B, prefix);
+                packed.write_channel_record(0xC3, width, offsets.iter().copied());
+                fields.write_bits(0xC3, 8);
+                fields.write_bits(u32::from(width), 4);
+                for &offset in &offsets {
+                    fields.write_bits(u32::from(offset), u32::from(width));
+                }
+                assert_eq!(packed.as_bytes(), fields.as_bytes(), "{prefix} {width}");
+                assert_eq!(packed.bits_written(), fields.bits_written());
+            }
+        }
     }
 
     #[test]

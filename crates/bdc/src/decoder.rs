@@ -72,23 +72,6 @@ pub(crate) fn read_frame_header(
     })
 }
 
-/// Checks that a channel's declared delta payload fits the remaining input
-/// before any of it is read.
-pub(crate) fn check_delta_payload(
-    r: &BitReader<'_>,
-    pixel_count: usize,
-    delta_bits: u8,
-) -> Result<(), BitstreamError> {
-    let required_bits = pixel_count as u64 * u64::from(delta_bits);
-    if required_bits > r.remaining_bits() {
-        return Err(BitstreamError::InsufficientInput {
-            required_bits,
-            remaining_bits: r.remaining_bits(),
-        });
-    }
-    Ok(())
-}
-
 /// A reusable byte-level BD decoder.
 ///
 /// Intra decoding ([`decode_bitstream`](Self::decode_bitstream),
@@ -262,28 +245,8 @@ fn decode_intra_into(
     let width = header.dimensions.width as usize;
     let pixels = out.pixels_mut();
     for tile in grid.tiles() {
-        for channel in 0..3u8 {
-            let base = r.read_bits(8)? as u8;
-            let delta_bits = r.read_bits(4)? as u8;
-            if delta_bits > 8 {
-                return Err(BitstreamError::InvalidHeader {
-                    field: "delta bit length",
-                });
-            }
-            check_delta_payload(&r, tile.pixel_count(), delta_bits)?;
-            for y in tile.y..tile.y + tile.height {
-                let row = y as usize * width;
-                for x in tile.x..tile.x + tile.width {
-                    let delta = r.read_bits(u32::from(delta_bits))? as u8;
-                    let value = base.wrapping_add(delta);
-                    let pixel = &mut pixels[row + x as usize];
-                    match channel {
-                        0 => pixel.r = value,
-                        1 => pixel.g = value,
-                        _ => pixel.b = value,
-                    }
-                }
-            }
+        for channel in 0..3 {
+            r.read_channel_record(tile, width, pixels, channel, |slot, code| *slot = code)?;
         }
     }
     Ok(())

@@ -2,7 +2,9 @@
 
 use crate::bitstream::BitWriter;
 use crate::stats::{CompressionStats, SizeBreakdown};
-use crate::tile_codec::{decode_tile, encode_tile, TileEncoding};
+use crate::tile_codec::{
+    bits_for_range, decode_tile, encode_tile, TileEncoding, BASE_BITS, METADATA_BITS,
+};
 use pvc_color::lanes::min_max_u8;
 use pvc_color::Srgb8;
 use pvc_frame::{Dimensions, SrgbFrame, SrgbTileLanes, TileGrid, DEFAULT_TILE_SIZE};
@@ -107,7 +109,8 @@ impl BdEncoder {
     /// `(min, max)` range is reduced with the 8-wide lane kernel
     /// ([`pvc_color::lanes::min_max_u8`] — bit-identical to the scalar
     /// [`crate::tile_codec::channel_range`] walk since integer min/max is
-    /// order-independent), and only the bit packing itself stays serial.
+    /// order-independent), and each channel's record is packed a word at a
+    /// time by the crate's one channel-record packer.
     ///
     /// Returns the same statistics `encode_frame(frame).stats()` would.
     pub fn encode_frame_into(
@@ -127,18 +130,11 @@ impl BdEncoder {
             for channel in 0..3 {
                 let lane = gather.channel(channel);
                 let (min, max) = min_max_u8(lane);
-                let delta_bits = crate::tile_codec::bits_for_range(max - min);
-                writer.write_bits(u32::from(min), crate::tile_codec::BASE_BITS as u32);
-                writer.write_bits(
-                    u32::from(delta_bits),
-                    crate::tile_codec::METADATA_BITS as u32,
-                );
-                for &v in lane {
-                    writer.write_bits(u32::from(v - min), u32::from(delta_bits));
-                }
+                let delta_bits = bits_for_range(max - min);
+                writer.write_channel_record(min, delta_bits, lane.iter().map(|&v| v - min));
                 breakdown += SizeBreakdown {
-                    base_bits: crate::tile_codec::BASE_BITS,
-                    metadata_bits: crate::tile_codec::METADATA_BITS,
+                    base_bits: BASE_BITS,
+                    metadata_bits: METADATA_BITS,
                     delta_bits: u64::from(delta_bits) * lane.len() as u64,
                 };
             }
@@ -211,11 +207,11 @@ impl BdEncodedFrame {
         w.write_bits(self.tile_size, 16);
         for tile in &self.tiles {
             for channel in &tile.channels {
-                w.write_bits(u32::from(channel.base), 8);
-                w.write_bits(u32::from(channel.delta_bits), 4);
-                for &d in &channel.deltas {
-                    w.write_bits(u32::from(d), u32::from(channel.delta_bits));
-                }
+                w.write_channel_record(
+                    channel.base,
+                    channel.delta_bits,
+                    channel.deltas.iter().copied(),
+                );
             }
         }
     }

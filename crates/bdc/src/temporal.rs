@@ -36,12 +36,12 @@
 //! Deterministic and content-only: a tile is `Skip` iff it is
 //! bit-identical to the reference tile; otherwise the encoder computes
 //! the exact bit cost of both the Delta and the Intra record and takes
-//! the cheaper one, breaking ties toward Intra. Encoding is sequential
-//! regardless of the encoder's thread count, so the emitted bytes are
-//! thread-invariant by construction.
+//! the cheaper one, breaking ties toward Intra. The decision reads
+//! nothing but the two frames' pixels and the tile size, and the tiles
+//! are written one after another in grid order, so the emitted bytes are
+//! a pure function of `(frame, reference, tile_size)`.
 
 use crate::bitstream::{BitReader, BitWriter, BitstreamError};
-use crate::decoder::check_delta_payload;
 use crate::stats::{CompressionStats, SizeBreakdown};
 use crate::tile_codec::{bits_for_range, BASE_BITS, METADATA_BITS};
 use pvc_color::lanes::min_max_u8;
@@ -126,7 +126,7 @@ fn channel_cost(range: u8, pixels: u64) -> u64 {
 /// encode allocates nothing. Both tiles are gathered as per-channel lanes:
 /// the intra/delta ranges reduce with the 8-wide lane kernel, and the
 /// zigzag residuals form over contiguous `u8` lanes, so everything before
-/// the serial bit-write vectorizes. Returns the temporal statistics plus
+/// the record packing vectorizes. Returns the temporal statistics plus
 /// the [`CompressionStats`] of the emitted payload (breakdown excludes the
 /// 64-bit header, mirroring the intra accounting which excludes its
 /// 48-bit header).
@@ -219,11 +219,8 @@ pub fn encode_temporal_frame_into(
         breakdown.metadata_bits += MODE_BITS;
         for (channel, &(min, max)) in ranges.iter().enumerate() {
             let delta_bits = bits_for_range(max - min);
-            writer.write_bits(u32::from(min), BASE_BITS as u32);
-            writer.write_bits(u32::from(delta_bits), METADATA_BITS as u32);
-            for &v in source.channel(channel) {
-                writer.write_bits(u32::from(v - min), u32::from(delta_bits));
-            }
+            let lane = source.channel(channel);
+            writer.write_channel_record(min, delta_bits, lane.iter().map(|&v| v - min));
             breakdown += SizeBreakdown {
                 base_bits: BASE_BITS,
                 metadata_bits: METADATA_BITS,
@@ -326,32 +323,13 @@ pub(crate) fn apply_temporal_frame(
         if mode != MODE_DELTA && mode != MODE_INTRA {
             return Err(BitstreamError::InvalidHeader { field: "tile mode" });
         }
-        for channel in 0..3u8 {
-            let base = r.read_bits(8)? as u8;
-            let delta_bits = r.read_bits(4)? as u8;
-            if delta_bits > 8 {
-                return Err(BitstreamError::InvalidHeader {
-                    field: "delta bit length",
-                });
-            }
-            check_delta_payload(&r, tile.pixel_count(), delta_bits)?;
-            for y in tile.y..tile.y + tile.height {
-                let row = y as usize * width;
-                for x in tile.x..tile.x + tile.width {
-                    let delta = r.read_bits(u32::from(delta_bits))? as u8;
-                    let code = base.wrapping_add(delta);
-                    let pixel = &mut pixels[row + x as usize];
-                    let slot = match channel {
-                        0 => &mut pixel.r,
-                        1 => &mut pixel.g,
-                        _ => &mut pixel.b,
-                    };
-                    *slot = if mode == MODE_DELTA {
-                        slot.wrapping_add(unzigzag(code))
-                    } else {
-                        code
-                    };
-                }
+        for channel in 0..3 {
+            if mode == MODE_DELTA {
+                r.read_channel_record(tile, width, pixels, channel, |slot, code| {
+                    *slot = slot.wrapping_add(unzigzag(code));
+                })?;
+            } else {
+                r.read_channel_record(tile, width, pixels, channel, |slot, code| *slot = code)?;
             }
         }
     }

@@ -11,9 +11,8 @@
 //! Allocation is asserted with a *byte-counting* global allocator whose
 //! counter is thread-local (a const-initialized `Cell<u64>` has no drop
 //! glue, so the thread-local access itself never allocates or recurses).
-//! Unlike the process-global event counter in
-//! `crates/core/tests/alloc_regression.rs`, per-thread counters stay
-//! accurate when the test harness runs these cases concurrently.
+//! Per-thread counters stay accurate when the test harness runs these
+//! cases concurrently.
 
 use proptest::prelude::*;
 use pvc_bdc::{

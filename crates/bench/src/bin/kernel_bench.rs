@@ -217,7 +217,7 @@ fn bd_frame(dimensions: Dimensions, seed: &mut u64) -> SrgbFrame {
 }
 
 /// Whole-frame Base+Delta pack: SoA tile gather, per-channel range over
-/// lanes, serial bit-write.
+/// lanes, word-at-a-time channel-record packing.
 fn bench_bd_pack(frame: &SrgbFrame, iters: u32) -> KernelResult {
     let encoder = BdEncoder::new(BdConfig::default());
     let mut writer = BitWriter::new();
