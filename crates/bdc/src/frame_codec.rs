@@ -1,11 +1,9 @@
 //! Whole-frame Base+Delta encoding.
 
 use crate::bitstream::BitWriter;
+use crate::packer::{write_intra_header, FramePacker};
 use crate::stats::{CompressionStats, SizeBreakdown};
-use crate::tile_codec::{
-    bits_for_range, decode_tile, encode_tile, TileEncoding, BASE_BITS, METADATA_BITS,
-};
-use pvc_color::lanes::min_max_u8;
+use crate::tile_codec::{decode_tile, encode_tile, TileEncoding};
 use pvc_color::Srgb8;
 use pvc_frame::{Dimensions, SrgbFrame, SrgbTileLanes, TileGrid, DEFAULT_TILE_SIZE};
 use serde::{Deserialize, Serialize};
@@ -99,18 +97,9 @@ impl BdEncoder {
     ///
     /// `gather` is the caller's reusable SoA tile gather; once both have
     /// warmed up to the frame's tile size and bitstream length, the encode
-    /// performs no allocation at all. This is the per-frame hot path of a
-    /// streaming session, where the per-tile `TileEncoding` structure (a
-    /// `Vec` of deltas per channel per tile — hundreds of thousands of
-    /// heap round-trips per Vision-class frame) is pure overhead: the
-    /// session ships bytes, not tile structs.
-    ///
-    /// Each tile is gathered as three contiguous per-channel lanes, the
-    /// `(min, max)` range is reduced with the 8-wide lane kernel
-    /// ([`pvc_color::lanes::min_max_u8`] — bit-identical to the scalar
-    /// [`crate::tile_codec::channel_range`] walk since integer min/max is
-    /// order-independent), and each channel's record is packed a word at a
-    /// time by the crate's one channel-record packer.
+    /// performs no allocation at all. Each tile is gathered as three
+    /// contiguous per-channel lanes and packed by the crate's one intra
+    /// tile packer ([`FramePacker::intra_tile`]).
     ///
     /// Returns the same statistics `encode_frame(frame).stats()` would.
     pub fn encode_frame_into(
@@ -119,27 +108,13 @@ impl BdEncoder {
         writer: &mut BitWriter,
         gather: &mut SrgbTileLanes,
     ) -> CompressionStats {
-        let grid = TileGrid::new(frame.dimensions(), self.config.tile_size);
-        writer.clear();
-        writer.write_bits(frame.dimensions().width, 16);
-        writer.write_bits(frame.dimensions().height, 16);
-        writer.write_bits(self.config.tile_size, 16);
-        let mut breakdown = SizeBreakdown::ZERO;
-        for tile in grid.tiles() {
+        let dims = frame.dimensions();
+        let mut packer = FramePacker::intra(writer, dims, self.config.tile_size);
+        for tile in TileGrid::new(dims, self.config.tile_size).tiles() {
             frame.tile_lanes_into(tile, gather);
-            for channel in 0..3 {
-                let lane = gather.channel(channel);
-                let (min, max) = min_max_u8(lane);
-                let delta_bits = bits_for_range(max - min);
-                writer.write_channel_record(min, delta_bits, lane.iter().map(|&v| v - min));
-                breakdown += SizeBreakdown {
-                    base_bits: BASE_BITS,
-                    metadata_bits: METADATA_BITS,
-                    delta_bits: u64::from(delta_bits) * lane.len() as u64,
-                };
-            }
+            packer.intra_tile(gather.as_slices());
         }
-        CompressionStats::from_breakdown(frame.dimensions().pixel_count(), breakdown)
+        packer.finish().1
     }
 }
 
@@ -202,9 +177,7 @@ impl BdEncodedFrame {
     /// Appends the frame's bitstream (header plus tiles, the layout of
     /// [`Self::to_bitstream`]) to a caller-provided writer.
     pub fn write_bitstream(&self, w: &mut BitWriter) {
-        w.write_bits(self.dimensions.width, 16);
-        w.write_bits(self.dimensions.height, 16);
-        w.write_bits(self.tile_size, 16);
+        write_intra_header(w, self.dimensions, self.tile_size);
         for tile in &self.tiles {
             for channel in &tile.channels {
                 w.write_channel_record(

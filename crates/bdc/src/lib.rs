@@ -14,6 +14,9 @@
 //! * [`encode_tile`] / [`decode_tile`] — the per-tile, per-channel codec,
 //! * [`BdEncoder`] — whole-frame encoding with per-tile size accounting
 //!   (base vs. metadata vs. delta bits, the split of Fig. 11),
+//! * [`FramePacker`] — the one packer behind every encode path: intra
+//!   records and the temporal Skip/Delta/Intra tile coder, fed one tile
+//!   at a time,
 //! * [`bitstream`] and [`BdDecoder`] — an actual serialized bitstream and
 //!   its one decoder, so compressed sizes are measured on real bits rather
 //!   than estimated.
@@ -41,6 +44,7 @@
 pub mod bitstream;
 pub mod decoder;
 pub mod frame_codec;
+pub mod packer;
 pub mod stats;
 pub mod temporal;
 pub mod tile_codec;
@@ -48,6 +52,7 @@ pub mod tile_codec;
 pub use bitstream::{BitReader, BitWriter, BitstreamError};
 pub use decoder::{BdDecoder, DEFAULT_MAX_PIXELS};
 pub use frame_codec::{BdConfig, BdEncodedFrame, BdEncoder};
+pub use packer::FramePacker;
 pub use stats::{CompressionStats, SizeBreakdown};
 pub use temporal::{
     encode_temporal_frame_into, is_temporal_bitstream, FrameKind, TemporalFrameStats,

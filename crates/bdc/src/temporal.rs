@@ -34,7 +34,8 @@
 //! # Mode decision
 //!
 //! Deterministic and content-only: a tile is `Skip` iff it is
-//! bit-identical to the reference tile; otherwise the encoder computes
+//! bit-identical to the reference tile (every zigzag residual is 0);
+//! otherwise the encoder computes
 //! the exact bit cost of both the Delta and the Intra record and takes
 //! the cheaper one, breaking ties toward Intra. The decision reads
 //! nothing but the two frames' pixels and the tile size, and the tiles
@@ -42,9 +43,8 @@
 //! a pure function of `(frame, reference, tile_size)`.
 
 use crate::bitstream::{BitReader, BitWriter, BitstreamError};
-use crate::stats::{CompressionStats, SizeBreakdown};
-use crate::tile_codec::{bits_for_range, BASE_BITS, METADATA_BITS};
-use pvc_color::lanes::min_max_u8;
+use crate::packer::FramePacker;
+use crate::stats::CompressionStats;
 use pvc_frame::{Dimensions, SrgbFrame, SrgbTileLanes, TileGrid};
 use serde::{Deserialize, Serialize};
 
@@ -52,9 +52,9 @@ use serde::{Deserialize, Serialize};
 pub(crate) const MODE_BITS: u64 = 2;
 
 /// Tile mode codes as they appear in the bitstream.
-const MODE_SKIP: u32 = 0;
-const MODE_DELTA: u32 = 1;
-const MODE_INTRA: u32 = 2;
+pub(crate) const MODE_SKIP: u32 = 0;
+pub(crate) const MODE_DELTA: u32 = 1;
+pub(crate) const MODE_INTRA: u32 = 2;
 
 /// What kind of frame a decode produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -101,7 +101,7 @@ pub fn is_temporal_bitstream(bytes: &[u8]) -> bool {
 /// Maps a wrapping byte residual to an unsigned code with small codes for
 /// small signed magnitudes.
 #[inline]
-fn zigzag(residual: u8) -> u8 {
+pub(crate) fn zigzag(residual: u8) -> u8 {
     let s = residual as i8;
     ((s << 1) ^ (s >> 7)) as u8
 }
@@ -112,24 +112,15 @@ fn unzigzag(code: u8) -> u8 {
     (code >> 1) ^ (code & 1).wrapping_neg()
 }
 
-/// Exact bit cost of one BD channel record covering `pixels` samples with
-/// the given value range.
-#[inline]
-fn channel_cost(range: u8, pixels: u64) -> u64 {
-    BASE_BITS + METADATA_BITS + u64::from(bits_for_range(range)) * pixels
-}
-
 /// Encodes `frame` as a predicted frame against `reference`.
 ///
-/// `gather` and `reference_gather` are caller-owned SoA scratch, recycled
-/// across frames like the intra encoder's gather buffer; once warm the
-/// encode allocates nothing. Both tiles are gathered as per-channel lanes:
-/// the intra/delta ranges reduce with the 8-wide lane kernel, and the
-/// zigzag residuals form over contiguous `u8` lanes, so everything before
-/// the record packing vectorizes. Returns the temporal statistics plus
-/// the [`CompressionStats`] of the emitted payload (breakdown excludes the
-/// 64-bit header, mirroring the intra accounting which excludes its
-/// 48-bit header).
+/// Each tile of both frames is gathered into the caller-owned SoA lanes
+/// `gather` and `reference_gather`, recycled across frames like the intra
+/// encoder's gather buffer, and coded by the crate's one temporal tile
+/// coder ([`FramePacker::predicted_tile`]); once warm the encode allocates
+/// nothing. Returns the temporal statistics plus the [`CompressionStats`]
+/// of the emitted payload (breakdown excludes the 64-bit header,
+/// mirroring the intra accounting which excludes its 48-bit header).
 ///
 /// # Panics
 ///
@@ -150,89 +141,13 @@ pub fn encode_temporal_frame_into(
         "predicted frames require a same-sized reference"
     );
     let dims = frame.dimensions();
-    let grid = TileGrid::new(dims, tile_size);
-    writer.clear();
-    writer.write_bits(0, 16);
-    writer.write_bits(dims.width, 16);
-    writer.write_bits(dims.height, 16);
-    writer.write_bits(tile_size, 16);
-
-    let mut stats = TemporalFrameStats {
-        keyframe: false,
-        intra_bits: 48,
-        ..TemporalFrameStats::default()
-    };
-    let mut breakdown = SizeBreakdown::ZERO;
-    for tile in grid.tiles() {
+    let mut packer = FramePacker::predicted(writer, dims, tile_size);
+    for tile in TileGrid::new(dims, tile_size).tiles() {
         frame.tile_lanes_into(tile, gather);
         reference.tile_lanes_into(tile, reference_gather);
-        let pixels = gather.len() as u64;
-
-        // The intra baseline is accounted for every tile, including the
-        // ones that end up skipped, so `intra_bits` is exactly what an
-        // intra-only frame would have cost.
-        let mut intra_cost = MODE_BITS;
-        let mut intra_ranges = [(0u8, 0u8); 3];
-        for (channel, ranges) in intra_ranges.iter_mut().enumerate() {
-            let (min, max) = min_max_u8(gather.channel(channel));
-            *ranges = (min, max);
-            intra_cost += channel_cost(max - min, pixels);
-        }
-        stats.intra_bits += intra_cost - MODE_BITS;
-
-        if gather == reference_gather {
-            writer.write_bits(MODE_SKIP, 2);
-            breakdown.metadata_bits += MODE_BITS;
-            stats.skip_tiles += 1;
-            continue;
-        }
-
-        // Zigzag residuals overwrite the reference scratch in place: after
-        // the skip comparison the raw reference samples are only needed to
-        // form `cur - prev`. Each channel is a contiguous u8 lane, so the
-        // wrapping subtract + zigzag loop vectorizes.
-        for (cur, prev) in [
-            (&gather.r, &mut reference_gather.r),
-            (&gather.g, &mut reference_gather.g),
-            (&gather.b, &mut reference_gather.b),
-        ] {
-            for (c, p) in cur.iter().zip(prev.iter_mut()) {
-                *p = zigzag(c.wrapping_sub(*p));
-            }
-        }
-        let mut delta_cost = MODE_BITS;
-        let mut delta_ranges = [(0u8, 0u8); 3];
-        for (channel, ranges) in delta_ranges.iter_mut().enumerate() {
-            let (min, max) = min_max_u8(reference_gather.channel(channel));
-            *ranges = (min, max);
-            delta_cost += channel_cost(max - min, pixels);
-        }
-
-        let (mode, source, ranges) = if delta_cost < intra_cost {
-            stats.delta_tiles += 1;
-            (MODE_DELTA, &*reference_gather, delta_ranges)
-        } else {
-            stats.intra_tiles += 1;
-            (MODE_INTRA, &*gather, intra_ranges)
-        };
-        writer.write_bits(mode, 2);
-        breakdown.metadata_bits += MODE_BITS;
-        for (channel, &(min, max)) in ranges.iter().enumerate() {
-            let delta_bits = bits_for_range(max - min);
-            let lane = source.channel(channel);
-            writer.write_channel_record(min, delta_bits, lane.iter().map(|&v| v - min));
-            breakdown += SizeBreakdown {
-                base_bits: BASE_BITS,
-                metadata_bits: METADATA_BITS,
-                delta_bits: u64::from(delta_bits) * pixels,
-            };
-        }
+        packer.predicted_tile(gather.as_slices(), reference_gather.as_mut_slices());
     }
-    stats.bits = writer.bits_written();
-    (
-        stats,
-        CompressionStats::from_breakdown(dims.pixel_count(), breakdown),
-    )
+    packer.finish()
 }
 
 /// Validated temporal frame header.

@@ -254,15 +254,20 @@ fn bench_bd_decode(frame: &SrgbFrame, iters: u32) -> KernelResult {
     }
 }
 
-/// The whole serving frame encode (adjust → gamma → BD pack, through
+/// The whole serving frame encode (`stream_frame`: adjust → quantize →
+/// BD pack tile by tile, through
 /// `PerceptualEncoder::encode_frame_stream_into` with the default intra
-/// configuration) on one rendered scene frame, with the per-stage split
-/// from the encoder's own stage clocks. The end-to-end number the service
-/// benches see per shard, minus queueing and rendering.
+/// configuration) on one rendered scene frame: the end-to-end number the
+/// service benches see per shard, minus queueing and rendering. The split
+/// times the three layered public calls the fused loop is pinned against,
+/// on the same frame: `stream_adjust`
+/// (`PerceptualEncoder::adjust_frame_with_map_into`), `stream_gamma`
+/// (`LinearFrame::to_srgb_into`) and `stream_bd`
+/// (`BdEncoder::encode_frame_into`).
 fn bench_stream_frame(dimensions: Dimensions, iters: u32) -> Vec<KernelResult> {
     use pvc_core::{EncoderConfig, PerceptualEncoder, StreamScratch, TemporalHistory};
     use pvc_fovea::{DisplayGeometry, EccentricityMap, GazePoint};
-    use pvc_frame::TileGrid;
+    use pvc_frame::{LinearFrame, TileGrid};
     use pvc_scenes::{SceneConfig, SceneId, SceneRenderer};
 
     let renderer = SceneRenderer::new(SceneId::Office, SceneConfig::new(dimensions));
@@ -276,13 +281,13 @@ fn bench_stream_frame(dimensions: Dimensions, iters: u32) -> Vec<KernelResult> {
         GazePoint::center_of(dimensions),
         config.fovea,
     );
+    let bd = BdEncoder::new(BdConfig::with_tile_size(config.tile_size));
     let encoder = PerceptualEncoder::new(SyntheticDiscriminationModel::default(), config);
     let mut history = TemporalHistory::new();
     let mut scratch = StreamScratch::new();
     let mut out = Vec::new();
     let mut frame_index = 0u32;
-    let mut stage_nanos = [0u64; 3];
-    let wall_seconds = time(iters, || {
+    let fused = time(iters, || {
         let stats = encoder.encode_frame_stream_into(
             &frame,
             &map,
@@ -292,33 +297,41 @@ fn bench_stream_frame(dimensions: Dimensions, iters: u32) -> Vec<KernelResult> {
             &mut out,
         );
         frame_index += 1;
-        let timing = scratch.last_timing();
-        stage_nanos[0] += timing.adjust;
-        stage_nanos[1] += timing.gamma;
-        stage_nanos[2] += timing.bd_encode;
         stats.compression.compressed_bits
     });
+
+    let mut adjust = AdjustScratch::new();
+    let mut adjusted = LinearFrame::filled(Dimensions::new(1, 1), LinearRgb::BLACK);
+    let adjust_seconds = time(iters, || {
+        encoder
+            .adjust_frame_with_map_into(&frame, &map, &mut adjust, &mut adjusted)
+            .case2_tiles
+    });
+    let mut srgb = SrgbFrame::filled(Dimensions::new(1, 1), Srgb8::default());
+    let gamma_seconds = time(iters, || {
+        adjusted.to_srgb_into(&mut srgb);
+        srgb.pixels()[0].g
+    });
+    let (mut writer, mut gather) = (BitWriter::new(), SrgbTileLanes::new());
+    let bd_seconds = time(iters, || {
+        bd.encode_frame_into(&srgb, &mut writer, &mut gather)
+            .compressed_bits
+    });
+
     let pixels = dimensions.pixel_count() as u64 * u64::from(iters);
-    // The warmup iteration also bumped the stage clocks; scale them to the
-    // timed total so the split still sums to roughly the wall time.
-    let timed_fraction = f64::from(iters) / f64::from(iters + 1);
-    let mut results = vec![KernelResult {
-        kernel: "stream_frame",
+    [
+        ("stream_frame", fused),
+        ("stream_adjust", adjust_seconds),
+        ("stream_gamma", gamma_seconds),
+        ("stream_bd", bd_seconds),
+    ]
+    .into_iter()
+    .map(|(kernel, wall_seconds)| KernelResult {
+        kernel,
         pixels,
         wall_seconds,
-    }];
-    for (kernel, nanos) in [
-        ("stream_adjust", stage_nanos[0]),
-        ("stream_gamma", stage_nanos[1]),
-        ("stream_bd", stage_nanos[2]),
-    ] {
-        results.push(KernelResult {
-            kernel,
-            pixels,
-            wall_seconds: nanos as f64 * 1e-9 * timed_fraction,
-        });
-    }
-    results
+    })
+    .collect()
 }
 
 /// The stand-in renderer the serving path's producers run:

@@ -157,13 +157,6 @@ impl SessionClient {
         }
     }
 
-    /// Returns the client with a different frame decoder (e.g. a tighter
-    /// pixel budget for untrusted streams).
-    pub fn with_decoder(mut self, decoder: BdDecoder) -> Self {
-        self.decoder = decoder;
-        self
-    }
-
     /// Returns the client with per-frame tracing: each consumed frame
     /// records a decode span (wall time) and a link-transit span.
     ///

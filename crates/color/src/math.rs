@@ -85,12 +85,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Squared Euclidean norm.
-    #[inline]
-    pub fn norm_squared(self) -> f64 {
-        self.dot(self)
-    }
-
     /// Maximum absolute component.
     #[inline]
     pub fn max_abs_component(self) -> f64 {

@@ -661,6 +661,13 @@ impl AdjustScratch {
     pub(crate) fn winner(&self, outcome: &TileAdjustOutcome) -> &LinearTileLanes {
         self.lanes.winner(outcome)
     }
+
+    /// Gathers a tile unchanged into the scratch's pixel lanes and returns
+    /// them: the path of a foveal tile, which bypasses the adjustment.
+    pub(crate) fn gather(&mut self, frame: &LinearFrame, tile: TileRect) -> &LinearTileLanes {
+        frame.tile_lanes_into(tile, &mut self.lanes.pixels);
+        &self.lanes.pixels
+    }
 }
 
 /// The metadata of a scratch-based tile adjustment; the winning pixels

@@ -4,14 +4,16 @@ use crate::adjust::{adjust_frame_tile, AdjustScratch, ClosedForm, TileAdjustOutc
 use crate::config::EncoderConfig;
 use crate::stats::AdjustmentStats;
 use pvc_bdc::{
-    BdConfig, BdEncodedFrame, BdEncoder, BitWriter, CompressionStats, TemporalFrameStats,
+    BdConfig, BdEncodedFrame, BdEncoder, BitWriter, CompressionStats, FramePacker,
+    TemporalFrameStats,
 };
-use pvc_color::{DiscriminationModel, LinearRgb, Srgb8};
+use pvc_color::{DiscriminationModel, LinearRgb};
 use pvc_fovea::{DisplayGeometry, EccentricityMap, GazePoint};
 use pvc_frame::{Dimensions, LinearFrame, SrgbFrame, SrgbTileLanes, TileGrid, TileRect};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::OnceLock;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The color perception-aware frame encoder (Fig. 7 of the paper).
 ///
@@ -102,17 +104,7 @@ impl<M: DiscriminationModel> PerceptualEncoder<M> {
         scratch: &mut AdjustScratch,
         out: &mut LinearFrame,
     ) -> AdjustmentStats {
-        let grid = TileGrid::new(frame.dimensions(), self.config.tile_size);
-        assert_eq!(
-            eccentricity.tile_size(),
-            self.config.tile_size,
-            "eccentricity map tile size must match the encoder configuration"
-        );
-        assert_eq!(
-            (eccentricity.tiles_x(), eccentricity.tiles_y()),
-            (grid.tiles_x(), grid.tiles_y()),
-            "eccentricity map must cover the frame's tile grid"
-        );
+        let grid = self.checked_grid(frame, eccentricity);
         out.clone_from(frame);
         let mut stats = AdjustmentStats {
             total_tiles: grid.tile_count(),
@@ -134,6 +126,23 @@ impl<M: DiscriminationModel> PerceptualEncoder<M> {
             out.write_tile_lanes(tile, scratch.winner(&outcome));
         }
         stats
+    }
+
+    /// The frame's tile grid, after checking that `eccentricity` was built
+    /// for this grid and this encoder's tile size.
+    fn checked_grid(&self, frame: &LinearFrame, eccentricity: &EccentricityMap) -> TileGrid {
+        let grid = TileGrid::new(frame.dimensions(), self.config.tile_size);
+        assert_eq!(
+            eccentricity.tile_size(),
+            self.config.tile_size,
+            "eccentricity map tile size must match the encoder configuration"
+        );
+        assert_eq!(
+            (eccentricity.tiles_x(), eccentricity.tiles_y()),
+            (grid.tiles_x(), grid.tiles_y()),
+            "eccentricity map must cover the frame's tile grid"
+        );
+        grid
     }
 
     /// Gathers one (non-foveal) tile straight into the scratch's lanes and
@@ -200,28 +209,37 @@ impl<M: DiscriminationModel> PerceptualEncoder<M> {
         self.bd_encode(frame, adjusted, stats)
     }
 
-    /// The serving encode: adjusts the frame, gamma-encodes it and packs
-    /// the BD payload straight into `out`, returning only the per-frame
+    /// The serving encode: adjusts, quantizes and BD-packs the frame one
+    /// tile at a time, straight into `out`, returning only the per-frame
     /// statistics. The payload is either an intra keyframe — bit-identical
     /// to [`Self::encode_frame`]'s `encoded.to_bitstream()` at the same
     /// gaze — or, with temporal coding enabled, a predicted frame of
     /// per-tile Skip / Delta / Intra records against `history`.
     ///
+    /// Each tile, in grid order, is adjusted in the scratch's lanes (a
+    /// foveal tile is gathered unchanged), quantized to sRGB8 lanes with
+    /// the exact LUT, and handed to the BD [`FramePacker`]. No frame-sized
+    /// intermediate exists: the bytes equal the layered composition
+    /// [`Self::adjust_frame_with_map_into`] → [`LinearFrame::to_srgb_into`]
+    /// → [`BdEncoder::encode_frame_into`] (or
+    /// [`pvc_bdc::encode_temporal_frame_into`] against the previous
+    /// adjusted sRGB frame) bit for bit, which the `fused_encode` test
+    /// pins.
+    ///
     /// A frame is a keyframe when temporal coding is disabled, when its
     /// absolute `frame_index` is a multiple of
     /// `TemporalConfig::keyframe_interval`, when `history` is invalid
     /// (fresh encoder, or an explicit reset at a handoff boundary) or when
-    /// the frame size changed. With temporal coding enabled, `history` is
-    /// updated to this frame's adjusted pixels on return, so feeding
-    /// consecutive frame indices reproduces exactly the stream a decoder
-    /// can follow; intra-only sessions leave it untouched and pay no frame
-    /// copy for it.
+    /// it was laid out for another frame size or tile size. With temporal
+    /// coding enabled, each tile is written into `history` once coded, so
+    /// feeding consecutive frame indices reproduces exactly the stream a
+    /// decoder can follow; intra-only sessions leave it untouched.
     ///
-    /// Every intermediate (adjusted frame, sRGB frame, tile buffers, bit
-    /// packing) lives in `scratch`, so once the buffers are warm the
-    /// encoder performs **zero** steady-state allocation per frame. This is
-    /// the per-frame hot path of a streaming session (`pvc_stream` shard
-    /// workers call it through `BatchEncoder::encode_frame_stream_into`).
+    /// Every per-tile buffer and the bit writer live in `scratch`, so once
+    /// they are warm the encoder performs **zero** steady-state allocation
+    /// per frame. This is the per-frame hot path of a streaming session
+    /// (`pvc_stream` shard workers call it through
+    /// `BatchEncoder::encode_frame_stream_into`).
     ///
     /// # Panics
     ///
@@ -236,53 +254,62 @@ impl<M: DiscriminationModel> PerceptualEncoder<M> {
         out: &mut Vec<u8>,
     ) -> StreamFrameStats {
         let started = Instant::now();
-        let adjustment = self.adjust_frame_with_map_into(
-            frame,
-            eccentricity,
-            &mut scratch.adjust,
-            &mut scratch.adjusted,
-        );
-        let after_adjust = Instant::now();
-        scratch.adjusted.to_srgb_into(&mut scratch.srgb);
-        let after_gamma = Instant::now();
+        let grid = self.checked_grid(frame, eccentricity);
+        let (dimensions, tile_size) = (frame.dimensions(), self.config.tile_size);
         let temporal = self.config.temporal;
         let keyframe = !temporal.enabled
             || frame_index % temporal.keyframe_interval.max(1) == 0
-            || !history.valid
-            || history.prev.dimensions() != scratch.srgb.dimensions();
-        let (temporal_stats, compression) = if keyframe {
-            let compression =
-                self.bd
-                    .encode_frame_into(&scratch.srgb, &mut scratch.writer, &mut scratch.gather);
-            let bits = scratch.writer.bits_written();
-            (
-                intra_frame_stats(adjustment.total_tiles as u64, bits),
-                compression,
-            )
-        } else {
-            pvc_bdc::encode_temporal_frame_into(
-                self.config.tile_size,
-                &scratch.srgb,
-                &history.prev,
-                &mut scratch.writer,
-                &mut scratch.gather,
-                &mut scratch.reference_gather,
-            )
-        };
-        if temporal.enabled {
-            history.prev.clone_from(&scratch.srgb);
-            history.valid = true;
+            || history.layout != Some((dimensions, tile_size));
+        if temporal.enabled && keyframe {
+            history.lay_out(dimensions, tile_size);
         }
+        let mut packer = if keyframe {
+            FramePacker::intra(&mut scratch.writer, dimensions, tile_size)
+        } else {
+            FramePacker::predicted(&mut scratch.writer, dimensions, tile_size)
+        };
+        let mut adjustment = AdjustmentStats {
+            total_tiles: grid.tile_count(),
+            ..Default::default()
+        };
+        let closed_form = self.model.fixed_shape().and_then(ClosedForm::new);
+        // Where the tile starts in the history's tile-major planes.
+        let mut offset = 0;
+        for tile in grid.tiles() {
+            let linear = if eccentricity.is_foveal_tile(tile) {
+                adjustment.foveal_tiles += 1;
+                scratch.adjust.gather(frame, tile)
+            } else {
+                let outcome = self.adjust_tile_into_scratch(
+                    frame,
+                    eccentricity,
+                    tile,
+                    closed_form.as_ref(),
+                    &mut scratch.adjust,
+                );
+                adjustment.record_case(outcome.case);
+                scratch.adjust.winner(&outcome)
+            };
+            scratch.tile.quantize_from(linear);
+            let current = scratch.tile.as_slices();
+            let pixels = offset..offset + current[0].len();
+            offset = pixels.end;
+            if keyframe {
+                packer.intra_tile(current);
+            } else {
+                packer.predicted_tile(current, history.tile_mut(pixels.clone()));
+            }
+            if temporal.enabled {
+                history.store(pixels, current);
+            }
+        }
+        let (temporal_stats, compression) = packer.finish();
         out.clear();
         out.extend_from_slice(scratch.writer.as_bytes());
         // Reading the clock is a vDSO call, not an allocation, so the
-        // sub-stage timing rides along without disturbing the zero-alloc
-        // pin on this path.
-        scratch.timing = StageNanos {
-            adjust: after_adjust.duration_since(started).as_nanos() as u64,
-            gamma: after_gamma.duration_since(after_adjust).as_nanos() as u64,
-            bd_encode: after_gamma.elapsed().as_nanos() as u64,
-        };
+        // timing rides along without disturbing the zero-alloc pin on
+        // this path.
+        scratch.timing = started.elapsed();
         StreamFrameStats {
             adjustment,
             compression,
@@ -309,44 +336,25 @@ impl<M: DiscriminationModel> PerceptualEncoder<M> {
     }
 }
 
-/// Reusable per-session state for the serving encode path
+/// Reusable state for the serving encode path
 /// ([`PerceptualEncoder::encode_frame_stream_into`] /
 /// `BatchEncoder::encode_frame_stream_into`): the tile adjustment
-/// buffers, the adjusted frame in both color spaces, the BD tile gather
-/// buffer and the bitstream writer.
+/// buffers, one tile's sRGB8 lanes and the bitstream writer. It holds no
+/// frame-sized buffer: the encode works one tile at a time.
 ///
-/// Buffers grow to the session's frame size on the first frame and are
-/// reused verbatim afterwards, so session lifetime — not frame count —
-/// bounds the allocations. One scratch may serve sessions of different
-/// frame sizes back to back (a shard worker does exactly that); buffers
-/// simply warm up to the largest size seen.
-#[derive(Debug, Clone)]
+/// Buffers grow on the first frame and are reused verbatim afterwards, so
+/// session lifetime — not frame count — bounds the allocations. One
+/// scratch may serve sessions of different frame sizes and tile sizes
+/// back to back (a shard worker does exactly that): nothing in it is
+/// bit-relevant across frames, and the tile buffers simply warm up to the
+/// largest tile seen.
+#[derive(Debug, Clone, Default)]
 pub struct StreamScratch {
     adjust: AdjustScratch,
-    adjusted: LinearFrame,
-    srgb: SrgbFrame,
+    /// The current tile, quantized to sRGB8 lanes.
+    tile: SrgbTileLanes,
     writer: BitWriter,
-    gather: SrgbTileLanes,
-    /// Reference-tile gather lanes for temporal encodes. Pure scratch —
-    /// the bit-relevant previous frame lives in [`TemporalHistory`], so a
-    /// shard worker can keep sharing one scratch across all its sessions.
-    reference_gather: SrgbTileLanes,
-    timing: StageNanos,
-}
-
-impl Default for StreamScratch {
-    fn default() -> Self {
-        StreamScratch {
-            adjust: AdjustScratch::new(),
-            // Placeholder frames; the first encode resizes them.
-            adjusted: LinearFrame::filled(Dimensions::new(1, 1), LinearRgb::BLACK),
-            srgb: SrgbFrame::filled(Dimensions::new(1, 1), Srgb8::default()),
-            writer: BitWriter::new(),
-            gather: SrgbTileLanes::new(),
-            reference_gather: SrgbTileLanes::new(),
-            timing: StageNanos::default(),
-        }
-    }
+    timing: Duration,
 }
 
 impl StreamScratch {
@@ -355,27 +363,16 @@ impl StreamScratch {
         StreamScratch::default()
     }
 
-    /// Wall-clock breakdown of the most recent
-    /// [`PerceptualEncoder::encode_frame_stream_into`] call
-    /// through this scratch (all zeros before the first encode). Lives on
-    /// the scratch rather than in [`StreamFrameStats`] so the stats stay a
-    /// pure function of the pixels — tests compare them across runs.
-    pub fn last_timing(&self) -> StageNanos {
+    /// Wall-clock time of the most recent
+    /// [`PerceptualEncoder::encode_frame_stream_into`] call through this
+    /// scratch (zero before the first encode): adjust, quantize and pack
+    /// as one span, since they run tile by tile in one loop, plus the
+    /// copy into the caller's output buffer. Lives on the scratch rather
+    /// than in [`StreamFrameStats`] so the stats stay a pure function of
+    /// the pixels — tests compare them across runs.
+    pub fn last_timing(&self) -> Duration {
         self.timing
     }
-}
-
-/// Wall-clock nanoseconds spent in each sub-stage of one scratch
-/// stream-encode: the per-frame breakdown a tracing worker turns into
-/// adjust / gamma / BD-encode spans.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageNanos {
-    /// Eccentricity-guided tile adjustment.
-    pub adjust: u64,
-    /// Linear → sRGB gamma conversion.
-    pub gamma: u64,
-    /// BD entropy encode plus the copy into the caller's output buffer.
-    pub bd_encode: u64,
 }
 
 /// Per-frame telemetry of the scratch stream-encode path: everything a
@@ -393,20 +390,16 @@ pub struct StreamFrameStats {
     pub temporal: TemporalFrameStats,
 }
 
-/// Builds the [`TemporalFrameStats`] of an intra (key) frame: every tile
-/// is an intra record and the temporal mode saves nothing.
-fn intra_frame_stats(tiles: u64, bits: u64) -> TemporalFrameStats {
-    TemporalFrameStats {
-        keyframe: true,
-        intra_tiles: tiles,
-        bits,
-        intra_bits: bits,
-        ..TemporalFrameStats::default()
-    }
-}
-
 /// The encoder side of a temporal session's GOP state: the previous
-/// adjusted frame that the next predicted frame encodes against.
+/// adjusted frame that the next predicted frame encodes against, as three
+/// tile-major sRGB8 planes (one per channel).
+///
+/// Tile-major means the planes hold the frame's tiles one after another in
+/// grid order, each tile's pixels in row-major tile order, so the
+/// reference of the tile being coded is one contiguous slice per channel.
+/// That order depends on the tile size as well as the frame size, so the
+/// history records the `(dimensions, tile_size)` it was laid out for, and
+/// an encode with any other layout is forced to a keyframe.
 ///
 /// Owned per *session* (each [`crate::BatchEncoder`] embeds one), never
 /// shared through [`StreamScratch`]: the previous frame is bit-relevant
@@ -414,37 +407,56 @@ fn intra_frame_stats(tiles: u64, bits: u64) -> TemporalFrameStats {
 /// sessions on a shard. [`Self::reset`] drops the reference, forcing the
 /// next frame to be an intra keyframe — the handoff-boundary refresh the
 /// migration/shed determinism pins rely on.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TemporalHistory {
-    prev: SrgbFrame,
-    valid: bool,
-}
-
-impl Default for TemporalHistory {
-    fn default() -> Self {
-        TemporalHistory::new()
-    }
+    planes: [Vec<u8>; 3],
+    /// The layout the planes hold a reference frame for; `None` when they
+    /// hold none.
+    layout: Option<(Dimensions, u32)>,
 }
 
 impl TemporalHistory {
     /// Creates an empty (invalid) history: the first encode through it is
     /// forced to a keyframe.
     pub fn new() -> Self {
-        TemporalHistory {
-            prev: SrgbFrame::filled(Dimensions::new(1, 1), Srgb8::default()),
-            valid: false,
-        }
+        TemporalHistory::default()
     }
 
     /// Drops the reference frame, forcing the next frame to be an intra
     /// keyframe.
     pub fn reset(&mut self) {
-        self.valid = false;
+        self.layout = None;
     }
 
     /// Whether the history holds a usable reference frame.
     pub fn is_valid(&self) -> bool {
-        self.valid
+        self.layout.is_some()
+    }
+
+    /// Sizes the planes for a keyframe of the given layout, which then
+    /// writes every tile of them.
+    fn lay_out(&mut self, dimensions: Dimensions, tile_size: u32) {
+        for plane in &mut self.planes {
+            plane.resize(dimensions.pixel_count(), 0);
+        }
+        self.layout = Some((dimensions, tile_size));
+    }
+
+    /// The reference tile at `pixels` of the tile-major planes.
+    fn tile_mut(&mut self, pixels: Range<usize>) -> [&mut [u8]; 3] {
+        let [r, g, b] = &mut self.planes;
+        [
+            &mut r[pixels.clone()],
+            &mut g[pixels.clone()],
+            &mut b[pixels],
+        ]
+    }
+
+    /// Writes a coded tile's sRGB8 lanes over its reference tile.
+    fn store(&mut self, pixels: Range<usize>, tile: [&[u8]; 3]) {
+        for (reference, lane) in self.tile_mut(pixels).into_iter().zip(tile) {
+            reference.copy_from_slice(lane);
+        }
     }
 }
 

@@ -65,8 +65,7 @@ pub use adjust::{
 pub use batch::{BatchCacheStats, BatchEncoder, DEFAULT_GAZE_CACHE_CAPACITY};
 pub use config::{EncoderConfig, TemporalConfig};
 pub use encoder::{
-    PerceptualEncodeResult, PerceptualEncoder, StageNanos, StreamFrameStats, StreamScratch,
-    TemporalHistory,
+    PerceptualEncodeResult, PerceptualEncoder, StreamFrameStats, StreamScratch, TemporalHistory,
 };
 pub use solver::IterativeSolver;
 pub use stats::AdjustmentStats;

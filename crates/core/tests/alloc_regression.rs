@@ -172,10 +172,8 @@ fn steady_state_stream_frames_do_not_allocate() {
         for &gaze in &gazes {
             let started = Instant::now();
             session.encode_frame_stream_into(frame, gaze, &mut scratch, &mut bitstream);
-            let timing = scratch.last_timing();
-            recorder.span_nanos(Stage::Adjust, 0, 1, frame_index, 0, timing.adjust);
-            recorder.span_nanos(Stage::Gamma, 0, 1, frame_index, 0, timing.gamma);
-            recorder.span_nanos(Stage::BdEncode, 0, 1, frame_index, 0, timing.bd_encode);
+            let encode = scratch.last_timing().as_nanos() as u64;
+            recorder.span_nanos(Stage::Adjust, 0, 1, frame_index, 0, encode);
             recorder.span(Stage::WireEmit, 0, 1, frame_index, started);
             measured_bytes += bitstream.len();
             let decode = decoder.decode_frame_into(&bitstream, &mut decoded);
@@ -208,7 +206,7 @@ fn steady_state_stream_frames_do_not_allocate() {
     );
     assert_eq!(
         recorder.tables().total_count(),
-        4 * u64::from(frame_index),
+        2 * u64::from(frame_index),
         "every measured span must have landed in the stage tables"
     );
     assert!(

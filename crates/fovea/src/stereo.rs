@@ -55,12 +55,6 @@ impl StereoGeometry {
         StereoGeometry::new(full, 104.0, 98.0)
     }
 
-    /// Dimensions of the full (both-eyes) frame.
-    #[inline]
-    pub fn full_dimensions(&self) -> Dimensions {
-        self.full
-    }
-
     /// The monocular display geometry of one eye.
     #[inline]
     pub fn eye_geometry(&self) -> DisplayGeometry {

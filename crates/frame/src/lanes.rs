@@ -66,6 +66,31 @@ impl SrgbTileLanes {
         }
     }
 
+    /// The three lanes as slices, in channel order (r, g, b).
+    #[inline]
+    pub fn as_slices(&self) -> [&[u8]; 3] {
+        [&self.r, &self.g, &self.b]
+    }
+
+    /// The three lanes as mutable slices, in channel order (r, g, b).
+    #[inline]
+    pub fn as_mut_slices(&mut self) -> [&mut [u8]; 3] {
+        [&mut self.r, &mut self.g, &mut self.b]
+    }
+
+    /// Gamma-encodes and quantizes linear lanes into these lanes, which
+    /// are resized to match. Per sample this is the exact LUT quantizer
+    /// of [`LinearFrame::to_srgb_into`], so a tile quantized here equals
+    /// the same tile gathered from the quantized frame.
+    pub fn quantize_from(&mut self, linear: &LinearTileLanes) {
+        let lanes = [&mut self.r, &mut self.g, &mut self.b];
+        for (codes, values) in lanes.into_iter().zip([&linear.r, &linear.g, &linear.b]) {
+            codes.clear();
+            codes.resize(values.len(), 0);
+            pvc_color::linear_to_srgb8_slice(values, codes);
+        }
+    }
+
     /// Transposes an AoS pixel slice into the three lanes, clearing them
     /// first.
     pub fn fill_from_pixels(&mut self, pixels: &[Srgb8]) {
@@ -314,6 +339,29 @@ mod tests {
             by_lanes.write_tile_lanes(tile, &lanes);
         }
         assert_eq!(by_lanes, source);
+    }
+
+    #[test]
+    fn quantized_lanes_match_the_quantized_frame() {
+        let d = Dimensions::new(13, 7);
+        let mut f = LinearFrame::filled(d, LinearRgb::BLACK);
+        for (i, p) in f.pixels_mut().iter_mut().enumerate() {
+            let t = i as f64 / 90.0;
+            // Out-of-gamut values clamp exactly as the frame path does.
+            *p = LinearRgb::new(t, 1.1 - t, t * t - 0.05);
+        }
+        let srgb = f.to_srgb();
+        let (mut linear, mut quantized, mut gathered) = (
+            LinearTileLanes::new(),
+            SrgbTileLanes::new(),
+            SrgbTileLanes::new(),
+        );
+        for tile in TileGrid::new(d, 4).tiles() {
+            f.tile_lanes_into(tile, &mut linear);
+            quantized.quantize_from(&linear);
+            srgb.tile_lanes_into(tile, &mut gathered);
+            assert_eq!(quantized, gathered);
+        }
     }
 
     #[test]

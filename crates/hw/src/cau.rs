@@ -24,13 +24,6 @@ impl Default for GpuConfig {
     }
 }
 
-impl GpuConfig {
-    /// Peak pixel rate assuming one pixel per shader core per GPU cycle.
-    pub fn peak_pixels_per_second(&self) -> f64 {
-        f64::from(self.shader_cores) * self.frequency_mhz * 1e6
-    }
-}
-
 /// Post-synthesis parameters of the CAU (TSMC 7 nm numbers from Sec. 6.1).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CauConfig {

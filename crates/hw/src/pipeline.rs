@@ -33,11 +33,6 @@ pub struct PipelineReport {
 }
 
 impl PipelineReport {
-    /// Peak buffer occupancy converted to bytes.
-    pub fn peak_occupancy_bytes(&self, pixels_per_tile: u32) -> usize {
-        self.peak_occupancy_tiles as usize * pixels_per_tile as usize * PENDING_BYTES_PER_PIXEL
-    }
-
     /// True when the GPU never stalled (the CAU keeps up with production).
     pub fn gpu_never_stalls(&self) -> bool {
         self.gpu_stall_cycles == 0

@@ -244,11 +244,6 @@ impl ElasticController {
         &self.runtime
     }
 
-    /// The wrapped runtime, mutably (e.g. to retire sessions directly).
-    pub fn runtime_mut(&mut self) -> &mut StreamRuntime {
-        &mut self.runtime
-    }
-
     /// The controller's configuration.
     pub fn config(&self) -> &ElasticConfig {
         &self.config

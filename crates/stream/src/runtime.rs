@@ -42,8 +42,8 @@
 //! circulate in a small pool: the worker returns each encoded frame's
 //! buffer to the producer on a *recycle channel*, and the producer renders
 //! the next frame into it ([`pvc_scenes::SceneRenderer::render_linear_into`]).
-//! The worker keeps one [`StreamScratch`] (tile adjustment buffers,
-//! adjusted frame, bitstream writer) plus one bitstream buffer alive for
+//! The worker keeps one [`StreamScratch`] (tile adjustment buffers, one
+//! tile's sRGB8 lanes, bitstream writer) plus one bitstream buffer alive for
 //! its whole lifetime and encodes every session's frames through it
 //! ([`BatchEncoder::encode_frame_stream_into`]), so session churn — not
 //! frame count — bounds the shard's allocations. None of this moves a
@@ -1536,11 +1536,11 @@ struct WorkerLinks {
 /// largest frame size the shard serves. Encoded frames are handed back to
 /// the producer through `recycle` for re-rendering.
 ///
-/// With tracing on, each frame contributes queue-wait, adjust, gamma and
-/// BD-encode spans (the encode sub-stages come from the scratch's
-/// [`StreamScratch::last_timing`] breakdown, chained from the encode
+/// With tracing on, each frame contributes a queue-wait span, an adjust
+/// span covering the whole fused adjust → quantize → pack encode (the
+/// scratch's [`StreamScratch::last_timing`], chained from the encode
 /// start — the gaze-map lookup between dequeue and adjust is untraced)
-/// plus a wire-emit span around the sink fan-out. All of it is clock
+/// and a wire-emit span around the sink fan-out. All of it is clock
 /// reads and integer stores: no allocation, no encoded-bit drift.
 fn run_worker(shard: usize, config: ServiceConfig, mut links: WorkerLinks) {
     let wall_start = Instant::now();
@@ -1672,9 +1672,10 @@ fn run_worker(shard: usize, config: ServiceConfig, mut links: WorkerLinks) {
 }
 
 /// Records one encoded frame's span ladder: queue wait (enqueue →
-/// dequeue), then the encode broken into adjust / gamma / BD-encode via
-/// the scratch's sub-stage timing, chained end to end from the encode
-/// start.
+/// dequeue), then the encode as one `adjust` span of the scratch's
+/// timing, chained end to end from the encode start. The encode adjusts,
+/// quantizes and packs tile by tile in one loop, so it has no separate
+/// gamma or BD-encode span.
 fn record_frame_spans(
     recorder: &mut Recorder,
     class: u8,
@@ -1682,21 +1683,21 @@ fn record_frame_spans(
     frame: u32,
     enqueued: Instant,
     encode_start: Instant,
-    timing: pvc_core::StageNanos,
+    encode: Duration,
 ) {
     // The ladder is chained: each stage starts where the previous ended.
     let epoch = recorder.epoch();
-    let mut at = epoch.nanos_since(enqueued);
+    let at = epoch.nanos_since(enqueued);
     let queue_wait = epoch.nanos_since(encode_start).saturating_sub(at);
-    for (stage, nanos) in [
-        (Stage::QueueWait, queue_wait),
-        (Stage::Adjust, timing.adjust),
-        (Stage::Gamma, timing.gamma),
-        (Stage::BdEncode, timing.bd_encode),
-    ] {
-        recorder.span_nanos(stage, class, session, frame, at, nanos);
-        at += nanos;
-    }
+    recorder.span_nanos(Stage::QueueWait, class, session, frame, at, queue_wait);
+    recorder.span_nanos(
+        Stage::Adjust,
+        class,
+        session,
+        frame,
+        at + queue_wait,
+        encode.as_nanos() as u64,
+    );
 }
 
 /// Closes a session on this worker: adds its encoder's cache counters to

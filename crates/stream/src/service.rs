@@ -62,15 +62,6 @@ impl Default for TraceConfig {
     }
 }
 
-impl TraceConfig {
-    /// Returns the configuration with a different per-thread ring
-    /// capacity (0 keeps only histograms, no events).
-    pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
-        self.ring_capacity = capacity;
-        self
-    }
-}
-
 /// Service-wide configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceConfig {
@@ -136,18 +127,6 @@ impl ServiceConfig {
     /// Returns the configuration with a different encoder configuration.
     pub fn with_encoder(mut self, encoder: EncoderConfig) -> Self {
         self.encoder = encoder;
-        self
-    }
-
-    /// Returns the configuration with a different per-session gaze-cache
-    /// capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_gaze_cache_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be non-zero");
-        self.gaze_cache_capacity = capacity;
         self
     }
 
@@ -533,8 +512,6 @@ mod tests {
             Stage::Render,
             Stage::QueueWait,
             Stage::Adjust,
-            Stage::Gamma,
-            Stage::BdEncode,
             Stage::WireEmit,
         ] {
             assert_eq!(
@@ -546,7 +523,7 @@ mod tests {
         }
         // The bimodal mix spans two tier classes; per-tier tables see it.
         let per_class: Vec<u64> = (0..pvc_trace::TIER_CLASS_COUNT as u8)
-            .map(|class| trace.class_stage_histogram(class, Stage::BdEncode).count())
+            .map(|class| trace.class_stage_histogram(class, Stage::Adjust).count())
             .collect();
         assert_eq!(per_class.iter().sum::<u64>(), frames);
         assert!(

@@ -15,11 +15,17 @@ pub enum Stage {
     /// Time a frame job sat in the bounded queue before the worker
     /// dequeued it (enqueue → dequeue).
     QueueWait,
-    /// Worker: eccentricity-based chroma/precision adjustment.
+    /// Worker: the whole serving encode of one frame. Adjust → quantize
+    /// → BD pack run tile by tile in one loop
+    /// (`PerceptualEncoder::encode_frame_stream_into`), so this one span
+    /// covers all three.
     Adjust,
-    /// Worker: linear → sRGB gamma conversion.
+    /// Linear → sRGB gamma conversion, when timed as its own pass. The
+    /// shard worker does not record it: its encode is one
+    /// [`Stage::Adjust`] span.
     Gamma,
-    /// Worker: BD entropy encode into the bitstream.
+    /// BD entropy encode into the bitstream, when timed as its own pass.
+    /// The shard worker does not record it (see [`Stage::Gamma`]).
     BdEncode,
     /// Worker: framing the payload into digest/payload/wire sinks.
     WireEmit,
