@@ -4,9 +4,10 @@
 //! SoA lane kernels the tile pipeline is built from — the per-tile axis
 //! adjustment, the ellipsoid build under both discrimination models, the
 //! sRGB quantizer in both directions, the Base+Delta frame pack and
-//! decode, and the scene render that feeds the serving path — and reports
-//! each one's pixel rate, so a regression in a single kernel is visible
-//! without re-deriving it from end-to-end numbers.
+//! decode, the per-tile eccentricity map, and the scene render that feeds
+//! the serving path — and reports each one's pixel rate, so a regression
+//! in a single kernel is visible without re-deriving it from end-to-end
+//! numbers.
 //!
 //! The whole suite runs five times (three with `--quick`), and every row
 //! reports the median rate with its quartiles over those runs. `--json
@@ -334,6 +335,34 @@ fn bench_stream_frame(dimensions: Dimensions, iters: u32) -> Vec<KernelResult> {
     .collect()
 }
 
+/// The per-tile eccentricity map (`EccentricityMap::per_tile`, default
+/// 5° bypass, Quest-2 field of view) with a gaze that moves on every
+/// repetition, as under smooth pursuit, where the map cache never hits.
+fn bench_map_build(dimensions: Dimensions, tile_size: u32, iters: u32) -> KernelResult {
+    use pvc_fovea::{DisplayGeometry, EccentricityMap, FoveaConfig, GazePoint};
+    use pvc_frame::TileGrid;
+
+    let display = DisplayGeometry::quest2_like(dimensions);
+    let grid = TileGrid::new(dimensions, tile_size);
+    let center = GazePoint::center_of(dimensions);
+    let mut step = 0u32;
+    let wall_seconds = time(iters, || {
+        // 1.5 px per repetition around a circle of a quarter frame width.
+        let angle = f64::from(step) * 1.5 / (center.x * 0.5);
+        let gaze = GazePoint::new(
+            center.x + center.x * 0.5 * angle.cos(),
+            center.y + center.x * 0.5 * angle.sin(),
+        );
+        step += 1;
+        EccentricityMap::per_tile(&display, &grid, gaze, FoveaConfig::default()).foveal_fraction()
+    });
+    KernelResult {
+        kernel: "map_build",
+        pixels: dimensions.pixel_count() as u64 * u64::from(iters),
+        wall_seconds,
+    }
+}
+
 /// The stand-in renderer the serving path's producers run:
 /// `SceneRenderer::render_linear_into` over all six scenes, each frame
 /// rendered into one recycled buffer as the producer's frame pool does.
@@ -424,6 +453,7 @@ fn run_suite(quick: bool) -> Vec<KernelResult> {
         Dimensions::new(96, 96),
         adjust_iters * 4,
     ));
+    results.push(bench_map_build(pack_dimensions, 4, pack_iters));
     // Last, with few repetitions: a heavy row depresses the rows timed
     // after it.
     results.push(bench_render(Dimensions::new(256, 256), render_iters));

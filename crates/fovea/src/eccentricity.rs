@@ -1,6 +1,6 @@
 //! Cached eccentricity maps and the foveal-bypass configuration.
 
-use crate::geometry::{DisplayGeometry, GazePoint};
+use crate::geometry::{angle_deg, cos_between, unit_direction, DisplayGeometry, GazePoint};
 use pvc_frame::{TileGrid, TileRect};
 use serde::{Deserialize, Serialize};
 
@@ -58,9 +58,15 @@ impl FoveaConfig {
 ///
 /// The encoder only needs one eccentricity per tile (the discrimination
 /// thresholds vary slowly across a 4×4 block), so the map is computed at
-/// tile centers. The map also records, per tile, whether *any* covered pixel
-/// falls inside the foveal bypass region, which is the conservative
-/// condition for skipping adjustment of that tile.
+/// tile centers. The map also records, per tile, whether the tile's center
+/// or any of its four corners falls inside the foveal bypass region; a tile
+/// so marked is left unadjusted.
+///
+/// That is a five-point sample of the tile, not an exact overlap test: the
+/// edge of the bypass region can reach a covered pixel between two corners
+/// without reaching either. At 256×256 with the default 5° radius, 22 of
+/// 4,000 random gazes left a pixel center inside 5° in an unmarked 8-pixel
+/// tile; with 4-pixel tiles none did.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EccentricityMap {
     tiles_x: u32,
@@ -90,28 +96,68 @@ impl EccentricityMap {
         );
         let tiles_x = grid.tiles_x();
         let tiles_y = grid.tiles_y();
-        let mut eccentricity_deg = Vec::with_capacity((tiles_x * tiles_y) as usize);
-        let mut foveal = Vec::with_capacity((tiles_x * tiles_y) as usize);
-        for tile in grid.tiles() {
-            let (cx, cy) = tile.center();
-            let center_ecc = display.eccentricity_deg(cx, cy, gaze);
-            eccentricity_deg.push(center_ecc);
-            // Conservative foveal test: check the tile corners as well as the
-            // center, so a tile partially inside the bypass region is skipped.
-            let corners = [
-                (f64::from(tile.x), f64::from(tile.y)),
-                (f64::from(tile.x + tile.width), f64::from(tile.y)),
-                (f64::from(tile.x), f64::from(tile.y + tile.height)),
-                (
-                    f64::from(tile.x + tile.width),
-                    f64::from(tile.y + tile.height),
-                ),
-            ];
-            let any_foveal = fovea.is_foveal(center_ecc)
-                || corners
-                    .iter()
-                    .any(|&(x, y)| fovea.is_foveal(display.eccentricity_deg(x, y, gaze)));
-            foveal.push(any_foveal);
+        let tile_size = grid.tile_size();
+        let dimensions = grid.dimensions();
+        let projection = display.projection();
+        let gaze_direction = unit_direction(projection.dx(gaze.x), projection.dy(gaze.y));
+        let cos_to_gaze = |dx: f64, dy: f64| cos_between(unit_direction(dx, dy), gaze_direction);
+
+        // The projection is separable: `dx` depends only on the column and
+        // `dy` only on the row, so both are computed once per lattice line.
+        // Lattice line `i` is tile `i`'s near edge; the last one is the
+        // frame's far edge, where a partial edge tile ends.
+        let edges = |tiles: u32, extent: u32| {
+            (0..tiles)
+                .map(move |i| f64::from(i * tile_size))
+                .chain(std::iter::once(f64::from(extent)))
+        };
+        let corner_dx: Vec<f64> = edges(tiles_x, dimensions.width)
+            .map(|x| projection.dx(x))
+            .collect();
+        let corner_dy: Vec<f64> = edges(tiles_y, dimensions.height)
+            .map(|y| projection.dy(y))
+            .collect();
+        let center_dx: Vec<f64> = (0..tiles_x)
+            .map(|tx| projection.dx(grid.tile(tx, 0).center().0))
+            .collect();
+        let center_dy: Vec<f64> = (0..tiles_y)
+            .map(|ty| projection.dy(grid.tile(0, ty).center().1))
+            .collect();
+
+        // Each corner is shared by up to four tiles, so the lattice tests it
+        // once. A corner whose cosine to the gaze is below cos(radius + 1°)
+        // lies more than a degree outside the bypass region, far beyond any
+        // rounding, and needs no `acos`. The cosine stops falling at 180°,
+        // where the cut is -1 and every corner takes the exact test.
+        let cos_cut = (fovea.bypass_radius_deg + 1.0)
+            .min(180.0)
+            .to_radians()
+            .cos();
+        let stride = corner_dx.len();
+        let mut corner_foveal = Vec::with_capacity(stride * corner_dy.len());
+        for &dy in &corner_dy {
+            for &dx in &corner_dx {
+                let cos = cos_to_gaze(dx, dy);
+                corner_foveal.push(cos >= cos_cut && fovea.is_foveal(angle_deg(cos)));
+            }
+        }
+
+        let mut eccentricity_deg = Vec::with_capacity(grid.tile_count());
+        let mut foveal = Vec::with_capacity(grid.tile_count());
+        for (ty, &dy) in center_dy.iter().enumerate() {
+            let top = &corner_foveal[ty * stride..(ty + 1) * stride];
+            let bottom = &corner_foveal[(ty + 1) * stride..(ty + 2) * stride];
+            for (tx, &dx) in center_dx.iter().enumerate() {
+                let center_ecc = angle_deg(cos_to_gaze(dx, dy));
+                eccentricity_deg.push(center_ecc);
+                foveal.push(
+                    fovea.is_foveal(center_ecc)
+                        || top[tx]
+                        || top[tx + 1]
+                        || bottom[tx]
+                        || bottom[tx + 1],
+                );
+            }
         }
         EccentricityMap {
             tiles_x,
@@ -150,8 +196,8 @@ impl EccentricityMap {
         self.eccentricity_deg[self.index_of(tile)]
     }
 
-    /// True if the tile overlaps the foveal bypass region and must be left
-    /// untouched.
+    /// True if the tile's center or one of its corners lies inside the
+    /// foveal bypass region, so the tile must be left untouched.
     ///
     /// # Panics
     ///

@@ -85,17 +85,22 @@ impl DisplayGeometry {
         self.vertical_fov_deg
     }
 
+    /// The projection constants of this display, for callers that map
+    /// many coordinates at once.
+    pub(crate) fn projection(&self) -> Projection {
+        Projection {
+            half_w: f64::from(self.dimensions.width) * 0.5,
+            half_h: f64::from(self.dimensions.height) * 0.5,
+            tan_h: (self.horizontal_fov_deg.to_radians() * 0.5).tan(),
+            tan_v: (self.vertical_fov_deg.to_radians() * 0.5).tan(),
+        }
+    }
+
     /// The unit viewing direction of a (possibly fractional) pixel
     /// coordinate, in a camera frame where +z looks into the scene.
     pub fn view_direction(&self, x: f64, y: f64) -> [f64; 3] {
-        let half_w = f64::from(self.dimensions.width) * 0.5;
-        let half_h = f64::from(self.dimensions.height) * 0.5;
-        let tan_h = (self.horizontal_fov_deg.to_radians() * 0.5).tan();
-        let tan_v = (self.vertical_fov_deg.to_radians() * 0.5).tan();
-        let dx = (x - half_w) / half_w * tan_h;
-        let dy = (y - half_h) / half_h * tan_v;
-        let norm = (dx * dx + dy * dy + 1.0).sqrt();
-        [dx / norm, dy / norm, 1.0 / norm]
+        let projection = self.projection();
+        unit_direction(projection.dx(x), projection.dy(y))
     }
 
     /// The retinal eccentricity (degrees) of the pixel at `(x, y)` when the
@@ -103,8 +108,7 @@ impl DisplayGeometry {
     pub fn eccentricity_deg(&self, x: f64, y: f64, gaze: GazePoint) -> f64 {
         let a = self.view_direction(x, y);
         let b = self.view_direction(gaze.x, gaze.y);
-        let dot = (a[0] * b[0] + a[1] * b[1] + a[2] * b[2]).clamp(-1.0, 1.0);
-        dot.acos().to_degrees()
+        angle_deg(cos_between(a, b))
     }
 
     /// Fraction of the display's pixels whose eccentricity exceeds
@@ -132,6 +136,55 @@ impl DisplayGeometry {
         }
         beyond as f64 / total as f64
     }
+}
+
+/// The pinhole projection of one display, split so that the horizontal
+/// and vertical image-plane coordinates of a pixel can be computed
+/// separately: `dx` depends only on the column and `dy` only on the row.
+///
+/// Every eccentricity in the crate goes through these helpers, in this
+/// operation order, so a map that precomputes `dx` per column and `dy` per
+/// row gets the same bits as [`DisplayGeometry::eccentricity_deg`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Projection {
+    half_w: f64,
+    half_h: f64,
+    tan_h: f64,
+    tan_v: f64,
+}
+
+impl Projection {
+    /// Horizontal image-plane coordinate (at unit depth) of column `x`.
+    #[inline]
+    pub(crate) fn dx(&self, x: f64) -> f64 {
+        (x - self.half_w) / self.half_w * self.tan_h
+    }
+
+    /// Vertical image-plane coordinate (at unit depth) of row `y`.
+    #[inline]
+    pub(crate) fn dy(&self, y: f64) -> f64 {
+        (y - self.half_h) / self.half_h * self.tan_v
+    }
+}
+
+/// The unit direction through the image-plane point `(dx, dy, 1)`.
+#[inline]
+pub(crate) fn unit_direction(dx: f64, dy: f64) -> [f64; 3] {
+    let norm = (dx * dx + dy * dy + 1.0).sqrt();
+    [dx / norm, dy / norm, 1.0 / norm]
+}
+
+/// The cosine of the angle between two unit directions, clamped to
+/// `[-1, 1]` against rounding.
+#[inline]
+pub(crate) fn cos_between(a: [f64; 3], b: [f64; 3]) -> f64 {
+    (a[0] * b[0] + a[1] * b[1] + a[2] * b[2]).clamp(-1.0, 1.0)
+}
+
+/// The angle (degrees) whose cosine is `cos`.
+#[inline]
+pub(crate) fn angle_deg(cos: f64) -> f64 {
+    cos.acos().to_degrees()
 }
 
 #[cfg(test)]

@@ -1022,7 +1022,11 @@ impl StreamRuntime {
     /// quality for throughput), blocking until the downgrade lands: the
     /// session is closed on its shard and opened there again at its next
     /// frame index under `profile`. Returns `false` if the session's
-    /// stream already completed. The session's report carries
+    /// stream already completed, or if it has already streamed more
+    /// frames than `profile` budgets; the session then goes on under its
+    /// current profile, reopened in place like a migration (in temporal
+    /// mode its next frame is an intra refresh). The session's report
+    /// carries
     /// [`SessionReport::downgraded_from`] and
     /// [`SessionReport::downgrade_frame`], and its wire stream a
     /// tier-change record at that frame.
@@ -1054,7 +1058,8 @@ impl StreamRuntime {
     /// for its state, and opens it again at the next frame index — on
     /// `to`, or where placement puts it (with the current shard flagged
     /// draining) when `to` is `None`, and under `profile` when given (a
-    /// shed). Returns `false` if the stream completed first.
+    /// shed). Returns `false` if the stream completed first, or if a shed
+    /// comes after the stream passed `profile`'s frame budget.
     fn reopen(
         &mut self,
         session: usize,
@@ -1093,6 +1098,13 @@ impl StreamRuntime {
         // Every rendered frame precedes the `Close` in the queue, so the
         // carried report has counted exactly the frames streamed so far.
         let at = state.report.throughput.frames as u32;
+        // A shed whose frame budget the stream has already passed would end
+        // it with more frames than that budget: refuse it, and reopen the
+        // session where it was under its current profile.
+        if profile.is_some_and(|profile| at > profile.frames) {
+            self.open_on(from, session, state.config.clone(), at, Some(state));
+            return false;
+        }
         let config = match profile {
             Some(profile) => state.config.clone().with_profile(profile),
             None => state.config.clone(),

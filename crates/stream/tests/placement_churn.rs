@@ -9,6 +9,9 @@
 //!   admit → migrate → shed → retire (graceful or hard-cancel) lifecycle,
 //!   for arbitrary session shapes and tiers — the leak-freedom the
 //!   admission budget depends on.
+//! * A shed that arrives after the stream has passed the lower profile's
+//!   frame budget is refused, so no report carries more frames than its
+//!   tier's budget.
 
 use proptest::prelude::*;
 use pvc_frame::Dimensions;
@@ -121,4 +124,68 @@ proptest! {
         }
         runtime.shutdown();
     }
+}
+
+/// A shed that arrives after the stream has already passed the lower
+/// profile's frame budget would end the session with more frames than
+/// that budget. Waiting on the remaining-pixels gauge until more frames
+/// have been rendered than the lower budget holds makes that case
+/// certain: the shed must be refused, and the session must go on at its
+/// own tier with its gauges still returning to zero.
+#[test]
+fn shed_past_the_lower_budget_is_refused() {
+    let dims = Dimensions::new(8, 8);
+    let frames = 100_000;
+    let profile = SessionProfile::for_tier(ResolutionTier::QuestPro, dims, frames);
+    let lower = SessionProfile {
+        frames: 2,
+        ..profile.downgraded().expect("quest-pro downgrades")
+    };
+    let config = SessionConfig::synthetic(0, dims, frames).with_profile(profile);
+    let cost = config.pixel_cost();
+    let mut runtime = StreamRuntime::start_static(ServiceConfig::default().with_shards(2));
+    let id = runtime.admit(config);
+    let rendered_enough = cost * u64::from(frames - (lower.frames + 1));
+    let started = std::time::Instant::now();
+    while runtime
+        .shard_loads()
+        .iter()
+        .map(|load| load.remaining_pixels)
+        .sum::<u64>()
+        > rendered_enough
+    {
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(30),
+            "the session never rendered {} frames",
+            lower.frames + 1
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    assert!(
+        !runtime.shed(id, lower),
+        "a shed past the lower frame budget must be refused"
+    );
+    let report = runtime.retire_now(id);
+    assert_eq!(report.tier, ResolutionTier::QuestPro);
+    assert_eq!(report.downgraded_from, None);
+    assert!(report.throughput.frames > u64::from(lower.frames));
+    assert!(report.throughput.frames <= u64::from(frames));
+    for load in runtime.shard_loads() {
+        assert_eq!(
+            load.sessions, 0,
+            "live sessions leaked on shard {}",
+            load.shard
+        );
+        assert_eq!(
+            load.session_pixels, 0,
+            "committed pixels leaked on shard {}",
+            load.shard
+        );
+        assert_eq!(
+            load.remaining_pixels, 0,
+            "remaining pixels leaked on shard {}",
+            load.shard
+        );
+    }
+    assert_eq!(runtime.shutdown().elasticity.shed, 0);
 }
