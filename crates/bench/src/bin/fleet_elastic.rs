@@ -28,15 +28,13 @@
 //!     --queue-capacity 4 --max-shards 4 --placement predictive
 //! ```
 
-use pvc_bench::assert_session_rates;
 use pvc_bench::cli::{exit_with_usage, placement_option, ArgSpec, CliError, ParsedArgs};
+use pvc_bench::fleet_report::{print_parameters, FleetRun};
 use pvc_bench::json::{self, Json};
-use pvc_bench::trace_export;
 use pvc_frame::Dimensions;
-use pvc_metrics::TierAggregates;
 use pvc_stream::{
     ElasticConfig, ElasticController, ResolutionTier, ServiceConfig, SessionConfig, SessionProfile,
-    SessionReport, StreamRuntime, TickActions, TraceConfig,
+    StreamRuntime, TickActions, TraceConfig,
 };
 use std::time::Duration;
 
@@ -70,22 +68,10 @@ const USAGE: &str = "[--quick] [--sessions N] [--frames N] [--width PX] [--heigh
                      [--min-shards N] [--max-shards N] [--shed-after TICKS] \
                      [--json PATH] [--trace PATH]";
 
-/// Overriding any of these lifts the trajectory assertions: the
+/// Options that leave the preset workload and controller alone.
+/// Overriding any other option lifts the trajectory assertions: the
 /// every-counter-fires guarantee only holds for the built-in presets.
-const TRAJECTORY_KNOBS: &[&str] = &[
-    "--sessions",
-    "--frames",
-    "--width",
-    "--height",
-    "--shards",
-    "--fleet-budget",
-    "--queue-capacity",
-    "--scale-up",
-    "--scale-down",
-    "--min-shards",
-    "--max-shards",
-    "--shed-after",
-];
+const TRAJECTORY_NEUTRAL: &[&str] = &["--queue-depth", "--placement", "--json", "--trace"];
 
 /// The workload and controller shape, after the preset and overrides.
 struct RunConfig {
@@ -120,76 +106,52 @@ fn run_config(parsed: &ParsedArgs) -> Result<RunConfig, CliError> {
     }
 
     let quick = parsed.has("--quick");
-    let (mut sessions, mut frames, mut dimensions) = if quick {
-        (8usize, 250u32, Dimensions::new(64, 64))
+    let (sessions, frames, side, queue_capacity, shed_after) = if quick {
+        (8, 250, 64, 2, 2)
     } else {
-        (16usize, 1_200u32, Dimensions::new(96, 96))
+        (16, 1_200, 96, 3, 3)
     };
-    if let Some(value) = parsed.positive_usize("--sessions")? {
-        sessions = value;
-    }
-    if let Some(value) = parsed.positive_u32("--frames")? {
-        frames = value;
-    }
-    if let Some(value) = parsed.positive_u32("--width")? {
-        dimensions.width = value;
-    }
-    if let Some(value) = parsed.positive_u32("--height")? {
-        dimensions.height = value;
-    }
+    let sessions = parsed.positive_usize("--sessions")?.unwrap_or(sessions);
+    let frames = parsed.positive_u32("--frames")?.unwrap_or(frames);
+    let dimensions = Dimensions::new(
+        parsed.positive_u32("--width")?.unwrap_or(side),
+        parsed.positive_u32("--height")?.unwrap_or(side),
+    );
 
     // The default budget fits the Vision-class whale plus two baseline
     // sessions exactly — the rest of the burst queues and then rejects.
     let whale = SessionProfile::for_tier(ResolutionTier::VisionClass, dimensions, frames);
-    let quest_cost = dimensions.pixel_count() as u64;
-    let mut config = RunConfig {
+    let fleet_budget = parsed
+        .u64_value("--fleet-budget")?
+        .unwrap_or(whale.pixel_cost() + 2 * dimensions.pixel_count() as u64);
+    // Remaining-work thresholds sit far below the burst's initial backlog
+    // (roughly budget x frames) and above its tail, so the fleet expands
+    // early and contracts as the work drains.
+    let backlog = fleet_budget * u64::from(frames);
+    let min_shards = parsed.positive_usize("--min-shards")?.unwrap_or(1);
+    let max_shards = if quick {
+        2
+    } else {
+        pvc_parallel::available_threads().clamp(2, 4)
+    };
+    Ok(RunConfig {
         sessions,
         frames,
         dimensions,
-        queue_depth: 4,
+        queue_depth: parsed.positive_usize("--queue-depth")?.unwrap_or(4),
         fixed_shards: parsed.positive_usize("--shards")?,
-        fleet_budget: whale.pixel_cost() + 2 * quest_cost,
-        queue_capacity: if quick { 2 } else { 3 },
-        // Remaining-work thresholds sit far below the burst's initial
-        // backlog (roughly budget x frames) and above its tail, so the
-        // fleet expands early and contracts as the work drains.
-        scale_up: 0,
-        scale_down: 0,
-        min_shards: 1,
-        max_shards: if quick {
-            2
-        } else {
-            pvc_parallel::available_threads().clamp(2, 4)
-        },
-        shed_after: if quick { 2 } else { 3 },
-    };
-    if let Some(depth) = parsed.positive_usize("--queue-depth")? {
-        config.queue_depth = depth;
-    }
-    if let Some(budget) = parsed.u64_value("--fleet-budget")? {
-        config.fleet_budget = budget;
-    }
-    if let Some(capacity) = parsed.positive_usize("--queue-capacity")? {
-        config.queue_capacity = capacity;
-    }
-    config.scale_up = config.fleet_budget * u64::from(config.frames) / 4;
-    config.scale_down = config.fleet_budget * u64::from(config.frames) / 8;
-    if let Some(value) = parsed.u64_value("--scale-up")? {
-        config.scale_up = value;
-    }
-    if let Some(value) = parsed.u64_value("--scale-down")? {
-        config.scale_down = value;
-    }
-    if let Some(value) = parsed.positive_usize("--min-shards")? {
-        config.min_shards = value;
-    }
-    if let Some(value) = parsed.positive_usize("--max-shards")? {
-        config.max_shards = value.max(config.min_shards);
-    }
-    if let Some(value) = parsed.positive_u32("--shed-after")? {
-        config.shed_after = value;
-    }
-    Ok(config)
+        fleet_budget,
+        queue_capacity: parsed
+            .positive_usize("--queue-capacity")?
+            .unwrap_or(queue_capacity),
+        scale_up: parsed.u64_value("--scale-up")?.unwrap_or(backlog / 4),
+        scale_down: parsed.u64_value("--scale-down")?.unwrap_or(backlog / 8),
+        min_shards,
+        max_shards: parsed
+            .positive_usize("--max-shards")?
+            .map_or(max_shards, |value| value.max(min_shards)),
+        shed_after: parsed.positive_u32("--shed-after")?.unwrap_or(shed_after),
+    })
 }
 
 /// One Vision-class whale (submitted first: the shed victim and the
@@ -232,24 +194,17 @@ fn tick_json(tick: u64, actions: &TickActions) -> Json {
     ])
 }
 
-fn describe(actions: &TickActions) -> String {
-    let mut parts = Vec::new();
-    if !actions.admitted.is_empty() {
-        parts.push(format!("promoted {:?}", actions.admitted));
-    }
-    if let Some(session) = actions.shed {
-        parts.push(format!("shed #{session}"));
-    }
-    if let Some(shard) = actions.spawned {
-        parts.push(format!("spawned shard {shard}"));
-    }
-    if let Some(shard) = actions.drained {
-        parts.push(format!("drained shard {shard}"));
-    }
-    if let Some((session, from, to)) = actions.migrated {
-        parts.push(format!("migrated #{session} {from}->{to}"));
-    }
-    parts.join(", ")
+/// A trajectory entry's actions for the log, e.g. `shed 0, spawned 1`.
+fn describe(entry: &Json) -> String {
+    let Json::Object(fields) = entry else {
+        unreachable!("tick_json builds an object")
+    };
+    let actions: Vec<String> = fields[1..]
+        .iter()
+        .filter(|(_, value)| !matches!(value, Json::Null) && *value != Json::Array(Vec::new()))
+        .map(|(action, value)| format!("{action} {}", value.render()))
+        .collect();
+    actions.join(", ")
 }
 
 fn main() {
@@ -261,36 +216,30 @@ fn main() {
     // migration planner scores the same remaining-work gauge.
     let placement =
         placement_option(&parsed, "predictive").unwrap_or_else(|err| exit_with_usage(&err, USAGE));
-    let placement_name = placement.name();
-
-    let initial_shards = config.fixed_shards.unwrap_or(config.min_shards);
-    println!(
-        "fleet_elastic: burst of {} sessions x {} base frames at {}x{} base \
-         (one vision-class whale), fleet budget {} px/frame, admission queue {}, \
-         {} placement, {}",
-        config.sessions,
-        config.frames,
-        config.dimensions.width,
-        config.dimensions.height,
-        config.fleet_budget,
-        config.queue_capacity,
-        placement_name,
-        match config.fixed_shards {
-            Some(shards) => format!("{shards} fixed shards"),
-            None => format!(
-                "shards {}..={} (scale up >{} / down <{} remaining px per shard), shed after {} overloaded ticks",
-                config.min_shards,
-                config.max_shards,
-                config.scale_up,
-                config.scale_down,
-                config.shed_after,
-            ),
-        },
-    );
+    let parameters = [
+        ("sessions", config.sessions.into()),
+        ("frames", u64::from(config.frames).into()),
+        ("width", u64::from(config.dimensions.width).into()),
+        ("height", u64::from(config.dimensions.height).into()),
+        ("fleet_budget", config.fleet_budget.into()),
+        ("queue_capacity", config.queue_capacity.into()),
+        (
+            "fixed_shards",
+            config.fixed_shards.map_or(Json::Null, Json::from),
+        ),
+        ("scale_up", config.scale_up.into()),
+        ("scale_down", config.scale_down.into()),
+        ("min_shards", config.min_shards.into()),
+        ("max_shards", config.max_shards.into()),
+        ("shed_after_ticks", u64::from(config.shed_after).into()),
+        ("placement", placement.name().into()),
+        ("quick", Json::Bool(parsed.has("--quick"))),
+    ];
+    print_parameters("fleet_elastic", &parameters);
 
     let runtime = StreamRuntime::start(
         ServiceConfig::default()
-            .with_shards(initial_shards)
+            .with_shards(config.fixed_shards.unwrap_or(config.min_shards))
             .with_queue_depth(config.queue_depth)
             // Tracing is always on (allocation-free on the hot path);
             // `--trace` only controls the Chrome export.
@@ -316,7 +265,7 @@ fn main() {
 
     // The control loop: 1 ms ticks until the fleet drains and, in
     // autoscale mode, contracts back to the floor.
-    let mut trajectory: Vec<(u64, TickActions)> = Vec::new();
+    let mut trajectory = Vec::new();
     let mut ticks = 0u64;
     println!();
     loop {
@@ -324,8 +273,9 @@ fn main() {
         ticks += 1;
         let actions = controller.tick();
         if !actions.is_idle() {
-            println!("tick {ticks:>4}: {}", describe(&actions));
-            trajectory.push((ticks, actions));
+            let entry = tick_json(ticks, &actions);
+            println!("tick {ticks:>4}: {}", describe(&entry));
+            trajectory.push(entry);
         }
         let drained = controller.pending_len() == 0
             && controller.runtime().churn().in_flight() == 0
@@ -341,77 +291,26 @@ fn main() {
     }
     println!("(drained after {ticks} ticks)");
 
-    let report = controller.shutdown();
-
-    let mut all_sessions: Vec<&SessionReport> = report.sessions.iter().collect();
-    all_sessions.sort_by_key(|session| session.session);
-    println!("\nsession  scene      tier       shard  frames     kB out    fps   shed-from");
-    let mut tiers = TierAggregates::new();
-    for session in &all_sessions {
-        assert_session_rates(session);
-        tiers.record(session.tier.name(), session.cancelled, &session.throughput);
-        println!(
-            "{:>7}  {:<9} {:<9} {:>5} {:>7} {:>9.1} {:>6.1}   {}",
-            session.session,
-            session.scene.name(),
-            session.tier.name(),
-            session.shard,
-            session.throughput.frames,
-            session.throughput.bytes_out as f64 / 1e3,
-            session.throughput.frames_per_second(),
-            session.downgraded_from.map_or("-", |tier| tier.name()),
-        );
-    }
-
-    println!("\ntier       sessions  frames      Mpx    fps   Mpx/s");
-    for tier in tiers.entries() {
-        println!(
-            "{:<9} {:>9} {:>7} {:>8.2} {:>6.1} {:>7.2}",
-            tier.label,
-            tier.sessions,
-            tier.throughput.frames,
-            tier.throughput.pixels as f64 / 1e6,
-            tier.throughput.frames_per_second(),
-            tier.throughput.megapixels_per_second(),
-        );
-    }
-
-    println!("\nshard  sessions  frames  utilization   Mpx/s");
-    for shard in &report.shards {
-        println!(
-            "{:>5} {:>9} {:>7} {:>11.0}% {:>7.2}",
-            shard.shard,
-            shard.sessions,
-            shard.frames,
-            shard.utilization() * 100.0,
-            shard.megapixels_per_second(),
-        );
-    }
+    let run = FleetRun::new(controller.shutdown(), Vec::new(), None);
+    run.print();
+    let report = &run.report;
 
     let elasticity = &report.elasticity;
+    let counters = [
+        ("rejected", elasticity.rejected),
+        ("queued", elasticity.queued),
+        ("shed", elasticity.shed),
+        ("migrated", elasticity.migrated),
+        ("shards_spawned", elasticity.shards_spawned),
+        ("shards_drained", elasticity.shards_drained),
+    ];
     println!("\nelasticity:");
-    println!("  rejected            {}", elasticity.rejected);
-    println!("  queued              {}", elasticity.queued);
-    println!("  shed                {}", elasticity.shed);
-    println!("  migrated            {}", elasticity.migrated);
-    println!("  shards spawned      {}", elasticity.shards_spawned);
-    println!("  shards drained      {}", elasticity.shards_drained);
+    for (label, count) in counters {
+        println!("  {label:<19} {count}");
+    }
 
-    let totals = &report.totals;
     let churn = &report.churn;
     let cores = pvc_parallel::available_threads();
-    println!("\naggregate:");
-    println!("  frames encoded      {}", totals.frames);
-    println!("  wall time           {:.3} s", totals.wall_seconds);
-    println!(
-        "  steady-state        {:.1} frames/s ({:.2} Mpx/s)",
-        totals.frames_per_second(),
-        totals.megapixels_per_second(),
-    );
-    println!(
-        "  churn               {} admitted / {} completed (peak {} concurrent)",
-        churn.admitted, churn.completed, churn.peak_concurrent,
-    );
     println!(
         "  sessions per core   {:.2} ({} completed / {} cores)",
         churn.completed as f64 / cores as f64,
@@ -435,18 +334,12 @@ fn main() {
     // overcommits the budget (queue + reject), sustained overload sheds
     // the whale, the backlog expands the fleet and the drain contracts
     // it, and the post-spawn skew triggers a rebalancing migration.
-    let organic = TRAJECTORY_KNOBS
+    let organic = SPEC
+        .options
         .iter()
-        .all(|knob| parsed.value(knob).is_none());
+        .all(|knob| TRAJECTORY_NEUTRAL.contains(knob) || parsed.value(knob).is_none());
     if organic {
-        for (label, count) in [
-            ("rejected", elasticity.rejected),
-            ("queued", elasticity.queued),
-            ("shed", elasticity.shed),
-            ("migrated", elasticity.migrated),
-            ("shards_spawned", elasticity.shards_spawned),
-            ("shards_drained", elasticity.shards_drained),
-        ] {
+        for (label, count) in counters {
             assert!(
                 count >= 1,
                 "the preset trajectory must exercise `{label}` at least once"
@@ -454,85 +347,16 @@ fn main() {
         }
     }
 
-    if let Some(trace) = report.trace.as_ref() {
-        trace_export::print_stage_table(trace);
-    }
-
-    if let Some(path) = parsed.value("--json") {
-        let document = json::service_report_json(
-            "fleet_elastic",
-            vec![
-                ("sessions".to_string(), config.sessions.into()),
-                ("frames".to_string(), u64::from(config.frames).into()),
-                (
-                    "width".to_string(),
-                    u64::from(config.dimensions.width).into(),
-                ),
-                (
-                    "height".to_string(),
-                    u64::from(config.dimensions.height).into(),
-                ),
-                ("fleet_budget".to_string(), config.fleet_budget.into()),
-                ("queue_capacity".to_string(), config.queue_capacity.into()),
-                (
-                    "fixed_shards".to_string(),
-                    config.fixed_shards.map_or(Json::Null, Json::from),
-                ),
-                ("scale_up".to_string(), config.scale_up.into()),
-                ("scale_down".to_string(), config.scale_down.into()),
-                ("min_shards".to_string(), config.min_shards.into()),
-                ("max_shards".to_string(), config.max_shards.into()),
-                (
-                    "shed_after_ticks".to_string(),
-                    u64::from(config.shed_after).into(),
-                ),
-                ("placement".to_string(), placement_name.into()),
-                ("quick".to_string(), Json::Bool(parsed.has("--quick"))),
-            ],
-            &all_sessions,
-            &report,
-        );
-        let document = json::with_field(
-            document,
+    run.write_outputs(&parsed, || {
+        let controller = json::object([
+            ("tick_ms", 1u64.into()),
+            ("ticks", ticks.into()),
+            ("trajectory", Json::Array(trajectory)),
+        ]);
+        json::with_field(
+            run.json("fleet_elastic", &parameters),
             "controller",
-            json::object([
-                ("tick_ms", 1u64.into()),
-                ("ticks", ticks.into()),
-                (
-                    "trajectory",
-                    Json::Array(
-                        trajectory
-                            .iter()
-                            .map(|(tick, actions)| tick_json(*tick, actions))
-                            .collect(),
-                    ),
-                ),
-            ]),
-        );
-        let document = match report.trace.as_ref() {
-            Some(trace) => {
-                json::with_field(document, "trace", trace_export::trace_section_json(trace))
-            }
-            None => document,
-        };
-        match json::write_json(std::path::Path::new(path), &document) {
-            Ok(()) => println!("\n(json written to {path})"),
-            Err(err) => {
-                eprintln!("error: could not write json to {path}: {err}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if let Some(path) = parsed.value("--trace") {
-        let trace = report.trace.as_ref().expect("tracing is always enabled");
-        let document = trace_export::chrome_trace_json(trace);
-        match json::write_json(std::path::Path::new(path), &document) {
-            Ok(()) => println!("(chrome trace written to {path})"),
-            Err(err) => {
-                eprintln!("error: could not write trace to {path}: {err}");
-                std::process::exit(1);
-            }
-        }
-    }
+            controller,
+        )
+    });
 }

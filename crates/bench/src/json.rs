@@ -1,15 +1,16 @@
 //! Minimal JSON emission for machine-readable bench reports.
 //!
-//! The stream binaries (`stream_throughput`, `session_churn`) print
-//! human-readable tables; CI and cross-PR trend tracking want the same
-//! numbers as structured data (`--json <path>`, captured as
-//! `BENCH_*.json` artifacts). The environment has no `serde_json`, so
-//! this module provides the few pieces actually needed: a [`Json`] value
-//! tree, a strict renderer (escaped strings, non-finite floats as
-//! `null`), and [`service_report_json`], the shared report builder.
+//! The bench binaries print human-readable tables; CI and cross-PR
+//! trend tracking want the same numbers as structured data (`--json
+//! <path>`, captured as `BENCH_*.json` artifacts). The environment has no
+//! `serde_json`, so this module provides the few pieces actually needed:
+//! a [`Json`] value tree, a strict renderer (escaped strings, non-finite
+//! floats as `null`), a file writer, and encoders for the metric types
+//! the fleet drivers report (their document is assembled in
+//! [`crate::fleet_report`]).
 
-use pvc_metrics::{SampleSummary, TemporalTotals, ThroughputReport, TierAggregates};
-use pvc_stream::{ServiceReport, SessionReport, ShardReport};
+use pvc_metrics::{SampleSummary, TemporalTotals, ThroughputReport};
+use pvc_stream::{SessionReport, ShardReport};
 
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,7 +136,7 @@ fn write_escaped(value: &str, out: &mut String) {
     out.push('"');
 }
 
-fn throughput_json(throughput: &ThroughputReport) -> Json {
+pub(crate) fn throughput_json(throughput: &ThroughputReport) -> Json {
     object([
         ("frames", throughput.frames.into()),
         ("pixels", throughput.pixels.into()),
@@ -177,7 +178,7 @@ pub fn temporal_json(totals: &TemporalTotals) -> Json {
     ])
 }
 
-fn summary_json(summary: Option<SampleSummary>) -> Json {
+pub(crate) fn summary_json(summary: Option<SampleSummary>) -> Json {
     match summary {
         None => Json::Null,
         Some(summary) => object([
@@ -189,7 +190,7 @@ fn summary_json(summary: Option<SampleSummary>) -> Json {
     }
 }
 
-fn shard_json(shard: &ShardReport) -> Json {
+pub(crate) fn shard_json(shard: &ShardReport) -> Json {
     object([
         ("shard", shard.shard.into()),
         ("sessions", shard.sessions.into()),
@@ -208,7 +209,7 @@ fn shard_json(shard: &ShardReport) -> Json {
     ])
 }
 
-fn session_json(session: &SessionReport) -> Json {
+pub(crate) fn session_json(session: &SessionReport) -> Json {
     object([
         ("session", session.session.into()),
         ("scene", session.scene.name().into()),
@@ -235,118 +236,8 @@ fn session_json(session: &SessionReport) -> Json {
     ])
 }
 
-/// Builds the machine-readable report both stream binaries emit under
-/// `--json`: aggregate rates, eccentricity-map cache counters, per-tier /
-/// per-session / per-shard breakdowns, the shard utilization and
-/// pixel-rate spreads, and the churn counters.
-///
-/// `sessions` must cover the whole fleet — including reports already
-/// handed out by `StreamRuntime::retire` — since the [`ServiceReport`]
-/// only retains the sessions nobody retired individually.
-pub fn service_report_json(
-    bench: &str,
-    parameters: Vec<(String, Json)>,
-    sessions: &[&SessionReport],
-    report: &ServiceReport,
-) -> Json {
-    let mut tiers = TierAggregates::new();
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    let mut fleet_temporal = TemporalTotals::default();
-    let mut tier_temporal: Vec<(&str, TemporalTotals)> = Vec::new();
-    for session in sessions {
-        tiers.record(session.tier.name(), session.cancelled, &session.throughput);
-        hits += session.cache.hits;
-        misses += session.cache.misses;
-        fleet_temporal.merge(&session.temporal);
-        let label = session.tier.name();
-        match tier_temporal.iter_mut().find(|(l, _)| *l == label) {
-            Some((_, totals)) => totals.merge(&session.temporal),
-            None => tier_temporal.push((label, session.temporal)),
-        }
-    }
-    let hit_rate = if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
-    };
-    let tier_entries: Vec<Json> = tiers
-        .entries()
-        .iter()
-        .map(|tier| {
-            object([
-                ("tier", tier.label.as_str().into()),
-                ("sessions", tier.sessions.into()),
-                ("cancelled", tier.cancelled.into()),
-                ("throughput", throughput_json(&tier.throughput)),
-                (
-                    "temporal",
-                    tier_temporal
-                        .iter()
-                        .find(|(label, _)| *label == tier.label)
-                        .map_or(Json::Null, |(_, totals)| temporal_json(totals)),
-                ),
-            ])
-        })
-        .collect();
-    object([
-        ("bench", bench.into()),
-        ("parameters", Json::Object(parameters)),
-        ("totals", throughput_json(&report.totals)),
-        ("temporal", temporal_json(&fleet_temporal)),
-        (
-            "cache",
-            object([
-                ("hits", hits.into()),
-                ("misses", misses.into()),
-                ("hit_rate", hit_rate.into()),
-            ]),
-        ),
-        ("tiers", Json::Array(tier_entries)),
-        (
-            "sessions",
-            Json::Array(sessions.iter().map(|s| session_json(s)).collect()),
-        ),
-        (
-            "shards",
-            Json::Array(report.shards.iter().map(shard_json).collect()),
-        ),
-        (
-            "shard_spread",
-            object([
-                ("utilization", summary_json(report.utilization_summary())),
-                (
-                    "megapixels_per_second",
-                    summary_json(report.pixel_throughput_summary()),
-                ),
-            ]),
-        ),
-        (
-            "churn",
-            object([
-                ("admitted", report.churn.admitted.into()),
-                ("retired", report.churn.retired.into()),
-                ("completed", report.churn.completed.into()),
-                ("cancelled", report.churn.cancelled.into()),
-                ("peak_concurrent", report.churn.peak_concurrent.into()),
-            ]),
-        ),
-        (
-            "elasticity",
-            object([
-                ("rejected", report.elasticity.rejected.into()),
-                ("queued", report.elasticity.queued.into()),
-                ("shed", report.elasticity.shed.into()),
-                ("migrated", report.elasticity.migrated.into()),
-                ("shards_spawned", report.elasticity.shards_spawned.into()),
-                ("shards_drained", report.elasticity.shards_drained.into()),
-            ]),
-        ),
-    ])
-}
-
 /// Appends a field to a [`Json::Object`] document (e.g. the optional
-/// `link` section the stream binaries add under `--link`).
+/// `link` section a fleet run adds under `--link`).
 ///
 /// # Panics
 ///
@@ -459,38 +350,6 @@ mod tests {
             value.render(),
             r#"{"name":"stream","values":[1,2,null],"nested":{"ok":true}}"#
         );
-    }
-
-    #[test]
-    fn service_report_json_covers_the_headline_numbers() {
-        use pvc_frame::Dimensions;
-        use pvc_stream::{ServiceConfig, StreamService};
-
-        let mut service = StreamService::new(ServiceConfig::default().with_shards(2));
-        service.admit_synthetic(3, Dimensions::new(32, 32), 2);
-        let report = service.run();
-        let sessions: Vec<&SessionReport> = report.sessions.iter().collect();
-        let json = service_report_json(
-            "test_bench",
-            vec![("sessions".to_string(), 3usize.into())],
-            &sessions,
-            &report,
-        );
-        let rendered = json.render();
-        for needle in [
-            r#""bench":"test_bench""#,
-            r#""frames":6"#,
-            r#""hit_rate":"#,
-            r#""shards":[{"shard":0"#,
-            r#""queue_enqueued":"#,
-            r#""render_utilization":"#,
-            r#""churn":{"admitted":3"#,
-            r#""elasticity":{"rejected":0"#,
-            r#""downgraded_from":null"#,
-            r#""tiers":[{"tier":"quest2""#,
-        ] {
-            assert!(rendered.contains(needle), "missing {needle} in {rendered}");
-        }
     }
 
     #[test]

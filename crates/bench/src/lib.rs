@@ -27,6 +27,7 @@
 
 pub mod cli;
 pub mod figures;
+pub mod fleet_report;
 pub mod harness;
 pub mod json;
 pub mod link;

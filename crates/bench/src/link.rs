@@ -1,4 +1,4 @@
-//! Decode-side replay shared by the stream binaries: run every session's
+//! Decode-side replay shared by the fleet drivers: run every session's
 //! wire stream through a [`SessionClient`] and aggregate the delivery
 //! quality per tier.
 //!
@@ -232,12 +232,22 @@ pub fn replay_json(replay: &LinkReplay) -> Json {
 mod tests {
     use super::*;
     use pvc_frame::Dimensions;
-    use pvc_stream::{ServiceConfig, StreamService, WorkloadMix};
+    use pvc_stream::{ServiceConfig, SessionConfig, StreamRuntime, WorkloadMix};
 
     fn fleet() -> Vec<SessionReport> {
-        let mut service = StreamService::new(ServiceConfig::default().with_collect_wire(true));
-        service.admit_mixed(4, WorkloadMix::Bimodal, Dimensions::new(16, 16), 2);
-        service.run().sessions
+        let mut runtime =
+            StreamRuntime::start_static(ServiceConfig::default().with_collect_wire(true));
+        for index in 0..4 {
+            let dims = Dimensions::new(16, 16);
+            runtime.admit(SessionConfig::synthetic_mixed(
+                index,
+                WorkloadMix::Bimodal,
+                dims,
+                2,
+            ));
+        }
+        runtime.drain();
+        runtime.shutdown().sessions
     }
 
     #[test]

@@ -121,11 +121,12 @@ pub struct ClientReport {
 /// ```
 /// use pvc_client::{LinkModel, SessionClient};
 /// use pvc_frame::Dimensions;
-/// use pvc_stream::{ServiceConfig, StreamService};
+/// use pvc_stream::{ServiceConfig, SessionConfig, StreamRuntime};
 ///
-/// let mut service = StreamService::new(ServiceConfig::default().with_collect_wire(true));
-/// service.admit_synthetic(1, Dimensions::new(16, 16), 2);
-/// let report = service.run();
+/// let mut runtime = StreamRuntime::start_static(ServiceConfig::default().with_collect_wire(true));
+/// runtime.admit(SessionConfig::synthetic(0, Dimensions::new(16, 16), 2));
+/// runtime.drain();
+/// let report = runtime.shutdown();
 ///
 /// let wire = report.sessions[0].wire_stream.as_ref().expect("collected");
 /// let mut client = SessionClient::new(LinkModel::lossless());

@@ -23,12 +23,15 @@
 //! ```
 //! use pvc_client::{LinkModel, SessionClient};
 //! use pvc_frame::Dimensions;
-//! use pvc_stream::{ServiceConfig, StreamService};
+//! use pvc_stream::{ServiceConfig, SessionConfig, StreamRuntime};
 //!
 //! // Serve two tiny sessions, keeping their wire streams.
-//! let mut service = StreamService::new(ServiceConfig::default().with_collect_wire(true));
-//! service.admit_synthetic(2, Dimensions::new(16, 16), 3);
-//! let report = service.run();
+//! let mut runtime = StreamRuntime::start_static(ServiceConfig::default().with_collect_wire(true));
+//! for index in 0..2 {
+//!     runtime.admit(SessionConfig::synthetic(index, Dimensions::new(16, 16), 3));
+//! }
+//! runtime.drain();
+//! let report = runtime.shutdown();
 //!
 //! // Replay each stream through a constrained link.
 //! let mut client = SessionClient::new(LinkModel::capped());

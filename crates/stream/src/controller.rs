@@ -20,12 +20,17 @@
 //!   work hysteresis thresholds, and executes at most one rebalancing
 //!   migration per tick via [`crate::placement::plan_migration`].
 //!
-//! Every decision reads only deterministic-commitment gauges (committed
-//! and remaining pixels), never wall-clock rates, so a controller
-//! trajectory is reproducible for a fixed submission order even though
-//! the *encoded streams* are bit-identical regardless of what the
-//! controller does — shedding and migration preserve the per-session
-//! determinism contract (see [`crate::runtime`]'s determinism notes).
+//! Every decision reads commitment gauges (committed and remaining
+//! pixels), never wall-clock rates, so one tick's decision is a pure
+//! function of the gauges it reads. The gauges themselves move with
+//! timing: a session's committed pixels are released when its stream
+//! completes, and remaining pixels fall as frames render. So the
+//! trajectory (which tick promotes, sheds, scales or migrates what) can
+//! differ between two runs of the same submission order. What holds in
+//! every run is the per-session contract: the *encoded streams* are
+//! bit-identical regardless of what the controller does, because
+//! shedding and migration preserve it (see [`crate::runtime`]'s
+//! determinism notes).
 //!
 //! # Examples
 //!
@@ -36,12 +41,14 @@
 //! };
 //!
 //! // Budget: one 32×32 session's per-frame pixels. The second submission
-//! // queues, the third (queue capacity 1) is rejected.
+//! // queues, the third (queue capacity 1) is rejected. The first session's
+//! // budget is long enough that it cannot finish (and free its pixels)
+//! // before those two verdicts.
 //! let runtime = StreamRuntime::start_static(ServiceConfig::default());
 //! let elastic = ElasticConfig::new(32 * 32).with_queue_capacity(1);
 //! let mut controller = ElasticController::new(runtime, elastic);
 //!
-//! let first = controller.submit(SessionConfig::synthetic(0, Dimensions::new(32, 32), 2));
+//! let first = controller.submit(SessionConfig::synthetic(0, Dimensions::new(32, 32), 100_000));
 //! assert!(matches!(first, Admission::Admitted(0)));
 //! assert_eq!(
 //!     controller.submit(SessionConfig::synthetic(1, Dimensions::new(32, 32), 2)),
@@ -52,8 +59,9 @@
 //!     Admission::Rejected
 //! );
 //!
-//! // Once the first stream finishes, a tick promotes the queued one.
-//! controller.drain();
+//! // Once the first stream is cancelled, its pixels are free and a tick
+//! // promotes the queued one.
+//! assert!(controller.retire_now(0).cancelled);
 //! let actions = controller.tick();
 //! assert_eq!(actions.admitted, vec![1]);
 //!
@@ -442,8 +450,10 @@ mod tests {
     fn admission_gates_queue_and_reject_against_the_budget() {
         // Budget: exactly one 32×32 session.
         let mut controller = controller(32 * 32);
+        // Session 0 cannot finish (and free its pixels) before the
+        // Queued/Rejected verdicts below.
         assert_eq!(
-            controller.submit(SessionConfig::synthetic(0, dims(), 2)),
+            controller.submit(SessionConfig::synthetic(0, dims(), 100_000)),
             Admission::Admitted(0)
         );
         for queued in 0..controller.config().queue_capacity {
@@ -463,6 +473,7 @@ mod tests {
             "a session over the whole budget can never fit"
         );
         let queued = controller.pending_len();
+        assert!(controller.retire_now(0).cancelled);
         // As streams finish, ticks promote the queue FIFO one budget
         // slot at a time.
         let mut promoted = Vec::new();

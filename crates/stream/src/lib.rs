@@ -29,16 +29,16 @@
 //!   sustained overload, shard autoscaling on hysteresis thresholds, and
 //!   rebalancing migration — all built from runtime verbs that preserve
 //!   bit-identical streams ([`controller`]).
-//! * [`StreamService`] is the run-to-completion front end — collect a
-//!   roster, `run()` (= start → admit all → drain → shutdown), read the
-//!   report ([`service`]).
+//! * [`ServiceConfig`] configures a runtime; [`ServiceReport`] is what
+//!   its shutdown returns ([`service`]). A batch run is start → admit
+//!   all → drain → shutdown.
 //!
 //! Encoded output is **bit-identical for the same `(scene, seed,
 //! profile)` regardless of shard count, placement policy,
 //! admission/retirement timing, or other sessions being hard-cancelled**
-//! — only timing telemetry varies. The `stream_throughput` and
-//! `session_churn` binaries in `pvc_bench` drive this crate at scale,
-//! including `--mix bimodal` / `--mix heavy-tail` populations.
+//! — only timing telemetry varies. The `fleet` and `fleet_elastic`
+//! binaries in `pvc_bench` drive this crate at scale, including
+//! `--mix bimodal` / `--mix heavy-tail` populations.
 //!
 //! # Examples
 //!
@@ -91,27 +91,30 @@
 //! assert_eq!(service_report.churn.admitted, 3);
 //! assert_eq!(service_report.churn.completed, 3);
 //! assert_eq!(service_report.churn.retired, 2);
-//! // Per-tier telemetry covers the sessions not handed out above.
-//! assert_eq!(service_report.tier_summary().len(), 1);
+//! // The report keeps only the session not handed out above.
+//! assert_eq!(service_report.sessions.len(), 1);
+//! assert_eq!(service_report.sessions[0].tier, ResolutionTier::QuestPro);
 //! ```
 //!
-//! Batch front end over a homogeneous roster:
+//! A batch run over a homogeneous roster:
 //!
 //! ```
 //! use pvc_frame::Dimensions;
-//! use pvc_stream::{ServiceConfig, StreamService};
+//! use pvc_stream::{ServiceConfig, SessionConfig, StreamRuntime};
 //!
 //! // Four headsets, two shard workers, eight frames each.
-//! let mut service = StreamService::new(ServiceConfig::default().with_shards(2));
-//! service.admit_synthetic(4, Dimensions::new(32, 32), 8);
-//!
-//! let report = service.run();
+//! let mut runtime = StreamRuntime::start_static(ServiceConfig::default().with_shards(2));
+//! for index in 0..4 {
+//!     runtime.admit(SessionConfig::synthetic(index, Dimensions::new(32, 32), 8));
+//! }
+//! runtime.drain();
+//! let report = runtime.shutdown();
 //! assert_eq!(report.totals.frames, 32);
 //! assert!(report.totals.bytes_out < report.totals.bytes_in, "BD always compresses");
 //!
 //! // Fixation-heavy gaze keeps the per-session map cache hot.
-//! let cache = report.aggregate_cache();
-//! assert!(cache.hit_rate() > 0.0);
+//! let hits: u64 = report.sessions.iter().map(|s| s.cache.hits).sum();
+//! assert!(hits > 0);
 //!
 //! // Sessions stay pinned to their shard; per-session rates are real.
 //! for session in &report.sessions {
@@ -138,7 +141,7 @@ pub use placement::{
     ShardLoad, Static,
 };
 pub use runtime::StreamRuntime;
-pub use service::{ServiceConfig, ServiceReport, ShardReport, StreamService, TraceConfig};
+pub use service::{ServiceConfig, ServiceReport, ShardReport, TraceConfig};
 pub use session::{ResolutionTier, SessionConfig, SessionProfile, SessionReport, WorkloadMix};
 pub use wire::{
     FrameSink, WireError, WireReader, WireRecord, WireSessionHeader, WireSink, WireTierChange,

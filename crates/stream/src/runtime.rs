@@ -1,12 +1,10 @@
 //! The long-lived streaming runtime: persistent shard workers, dynamic
 //! session churn, pluggable placement.
 //!
-//! [`StreamRuntime`] is the serving core the batch-style
-//! [`crate::StreamService`] wraps. Where the batch service respawned its
-//! shard threads per `run()` and streamed a fixed roster to completion,
-//! the runtime spawns each shard's **producer** (scene rendering) and
-//! **worker** (encoding) thread once at [`StreamRuntime::start`] and keeps
-//! them alive until [`StreamRuntime::shutdown`]. In between, sessions are
+//! [`StreamRuntime`] is the serving core. It spawns each shard's
+//! **producer** (scene rendering) and **worker** (encoding) thread once
+//! at [`StreamRuntime::start`] and keeps them alive until
+//! [`StreamRuntime::shutdown`]. In between, sessions are
 //! [admitted](StreamRuntime::admit) and [retired](StreamRuntime::retire)
 //! dynamically over per-shard control channels while other sessions'
 //! frames are still in flight.
@@ -353,8 +351,7 @@ fn encoder_for(
         SyntheticDiscriminationModel::default(),
         encoder_config,
         DisplayGeometry::quest2_like(config.dimensions()),
-    )
-    .with_cache_capacity(service.gaze_cache_capacity);
+    );
     (encoder, tile_size)
 }
 
@@ -592,15 +589,10 @@ impl StreamRuntime {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero shards, queue depth or cache
-    /// capacity.
+    /// Panics if the configuration has zero shards or queue depth.
     pub fn start(config: ServiceConfig, placement: Box<dyn Placement>) -> StreamRuntime {
         assert!(config.shards > 0, "shard count must be non-zero");
         assert!(config.queue_depth > 0, "queue depth must be non-zero");
-        assert!(
-            config.gaze_cache_capacity > 0,
-            "cache capacity must be non-zero"
-        );
         let (event_tx, events) = mpsc::channel();
         // All tracing storage (rings, stage tables) is allocated here,
         // before any pipeline thread runs a frame.

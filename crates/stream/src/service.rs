@@ -1,21 +1,14 @@
-//! The batch-style front end of the streaming subsystem.
+//! The runtime's configuration and report types.
 //!
-//! [`StreamService`] models the simplest serving pattern: collect a roster
-//! of sessions, stream all of them to completion, read the report. Since
-//! the long-lived [`StreamRuntime`] landed, the
-//! service is a thin wrapper over it — `run()` is exactly *start → admit
-//! all → drain → shutdown* — so everything pinned against the batch API
-//! (determinism across shard counts, cache behaviour, telemetry shapes)
-//! holds verbatim for the runtime underneath.
-//!
-//! Three properties drive the design:
+//! [`ServiceConfig`] configures a [`StreamRuntime`](crate::StreamRuntime):
+//! shard count, queue depth, the shared encoder configuration, what to
+//! collect and whether to trace. [`ServiceReport`] and [`ShardReport`]
+//! are what [`StreamRuntime::shutdown`](crate::StreamRuntime::shutdown)
+//! returns. Three properties of the runtime show in these reports:
 //!
 //! * **Stable routing.** A session is placed on one shard at admission and
-//!   stays there for its whole stream, so its eccentricity-map cache stays
-//!   hot on one worker. `run()` uses the deterministic [`Static`] modulo
-//!   policy (`session_id % shards`);
-//!   [`run_with_placement`](StreamService::run_with_placement) accepts any
-//!   [`Placement`].
+//!   stays there until it completes, is hard-cancelled, or is migrated or
+//!   shed, so its eccentricity-map cache stays hot on one worker.
 //! * **Bounded pipelining.** Within a shard, frame *production* (scene
 //!   rendering) runs on a producer thread and frame *encoding* on the shard
 //!   worker, connected by a [`pvc_parallel::bounded_queue`]. The queue
@@ -24,18 +17,13 @@
 //!   rendering, is the bottleneck.
 //! * **Placement invariance.** Each session's frames are encoded in frame
 //!   order by exactly one worker, from inputs derived only from the
-//!   session's own config — so the encoded streams are bit-identical no
-//!   matter how many shards the service runs with or which placement
+//!   session's own config, so the encoded streams are bit-identical no
+//!   matter how many shards the runtime runs with or which placement
 //!   policy routes them. Only wall-clock telemetry changes.
 
-use crate::placement::{Placement, Static};
-use crate::runtime::StreamRuntime;
-use crate::session::{SessionConfig, SessionReport, WorkloadMix};
-use pvc_core::{BatchCacheStats, EncoderConfig, DEFAULT_GAZE_CACHE_CAPACITY};
-use pvc_frame::Dimensions;
-use pvc_metrics::{
-    ChurnCounters, ElasticityCounters, SampleSummary, ThroughputReport, TierAggregates,
-};
+use crate::session::SessionReport;
+use pvc_core::EncoderConfig;
+use pvc_metrics::{ChurnCounters, ElasticityCounters, SampleSummary, ThroughputReport};
 use pvc_trace::TraceReport;
 use serde::{Deserialize, Serialize};
 
@@ -71,8 +59,6 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Encoder configuration shared by every session.
     pub encoder: EncoderConfig,
-    /// Eccentricity-map cache capacity of each session's encoder.
-    pub gaze_cache_capacity: usize,
     /// Keep every frame's encoded bitstream in the session reports.
     /// Memory-hungry; meant for tests and debugging, not serving.
     pub collect_payloads: bool,
@@ -93,7 +79,6 @@ impl Default for ServiceConfig {
             shards: 1,
             queue_depth: 4,
             encoder: EncoderConfig::default(),
-            gaze_cache_capacity: DEFAULT_GAZE_CACHE_CAPACITY,
             collect_payloads: false,
             collect_wire: false,
             trace: None,
@@ -151,7 +136,8 @@ impl ServiceConfig {
 }
 
 /// What one shard worker observed over its lifetime (one
-/// [`StreamService::run`] or one [`StreamRuntime`] start→shutdown).
+/// [`StreamRuntime`](crate::StreamRuntime) start→shutdown, or until the
+/// shard was drained).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ShardReport {
     /// The shard index.
@@ -212,7 +198,7 @@ impl ShardReport {
     }
 }
 
-/// Everything a service run (or runtime lifetime) produced.
+/// Everything a runtime lifetime produced.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceReport {
     /// Per-session results, ordered by session id. Sessions whose reports
@@ -242,20 +228,6 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
-    /// Eccentricity-map cache counters summed over the sessions in this
-    /// report. Sessions whose reports were handed out by
-    /// `StreamRuntime::retire` are not represented — sum their reports'
-    /// `cache` counters separately if a fleet-wide rate is needed.
-    pub fn aggregate_cache(&self) -> BatchCacheStats {
-        let mut total = BatchCacheStats::default();
-        for session in &self.sessions {
-            total.hits += session.cache.hits;
-            total.misses += session.cache.misses;
-            total.entries += session.cache.entries;
-        }
-        total
-    }
-
     /// Mean/spread of per-shard utilization over the shards that actually
     /// served sessions, or `None` when no shard did.
     ///
@@ -294,173 +266,69 @@ impl ServiceReport {
         }
         Some(SampleSummary::of(&values))
     }
-
-    /// Per-tier totals over the sessions in this report, grouped by
-    /// [`ResolutionTier::name`](crate::ResolutionTier::name). Sessions
-    /// whose reports were handed out by `StreamRuntime::retire` /
-    /// `retire_now` are not represented — record their reports into a
-    /// [`TierAggregates`] of your own for fleet-wide tables (the
-    /// `session_churn` binary does exactly that).
-    pub fn tier_summary(&self) -> TierAggregates {
-        let mut tiers = TierAggregates::new();
-        for session in &self.sessions {
-            tiers.record(session.tier.name(), session.cancelled, &session.throughput);
-        }
-        tiers
-    }
-}
-
-/// A deterministic multi-session streaming service over the stream-mode
-/// perceptual encoder: the run-to-completion front end of
-/// [`StreamRuntime`]. See the [crate docs](crate) for an end-to-end
-/// example.
-#[derive(Debug, Clone)]
-pub struct StreamService {
-    config: ServiceConfig,
-    sessions: Vec<SessionConfig>,
-}
-
-impl StreamService {
-    /// Creates an empty service.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has zero shards, queue depth or cache
-    /// capacity (the builder methods already enforce this; the assert
-    /// guards struct-literal configs).
-    pub fn new(config: ServiceConfig) -> StreamService {
-        assert!(config.shards > 0, "shard count must be non-zero");
-        assert!(config.queue_depth > 0, "queue depth must be non-zero");
-        assert!(
-            config.gaze_cache_capacity > 0,
-            "cache capacity must be non-zero"
-        );
-        StreamService {
-            config,
-            sessions: Vec::new(),
-        }
-    }
-
-    /// The service configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
-    /// The admitted sessions, in admission order.
-    pub fn sessions(&self) -> &[SessionConfig] {
-        &self.sessions
-    }
-
-    /// Admits a session and returns its id (= admission index).
-    pub fn admit(&mut self, session: SessionConfig) -> usize {
-        self.sessions.push(session);
-        self.sessions.len() - 1
-    }
-
-    /// Admits `count` synthetic sessions (see [`SessionConfig::synthetic`])
-    /// and returns the range of their ids.
-    pub fn admit_synthetic(
-        &mut self,
-        count: usize,
-        dimensions: Dimensions,
-        frames: u32,
-    ) -> std::ops::Range<usize> {
-        let first = self.sessions.len();
-        for index in first..first + count {
-            self.sessions
-                .push(SessionConfig::synthetic(index, dimensions, frames));
-        }
-        first..self.sessions.len()
-    }
-
-    /// Admits `count` synthetic sessions drawn from a heterogeneous
-    /// [`WorkloadMix`] (see [`SessionConfig::synthetic_mixed`]) and
-    /// returns the range of their ids. `dimensions`/`frames` are the
-    /// Quest-2-equivalent base render size and 72 Hz-equivalent frame
-    /// budget each tier scales from.
-    pub fn admit_mixed(
-        &mut self,
-        count: usize,
-        mix: WorkloadMix,
-        dimensions: Dimensions,
-        frames: u32,
-    ) -> std::ops::Range<usize> {
-        let first = self.sessions.len();
-        for index in first..first + count {
-            self.sessions.push(SessionConfig::synthetic_mixed(
-                index, mix, dimensions, frames,
-            ));
-        }
-        first..self.sessions.len()
-    }
-
-    /// The shard a session id lands on under the default [`Static`]
-    /// placement used by [`run`](Self::run).
-    pub fn shard_of(&self, session: usize) -> usize {
-        session % self.config.shards
-    }
-
-    /// Streams every admitted session to completion and reports, routing
-    /// sessions with the deterministic [`Static`] modulo placement.
-    ///
-    /// Per-session encoded output (payload bytes, digests, cache counters)
-    /// depends only on the session configs and the encoder configuration —
-    /// never on the shard count, queue depth or thread scheduling. Timing
-    /// telemetry (utilization, wall seconds, stalls) is of course
-    /// machine-dependent.
-    pub fn run(&self) -> ServiceReport {
-        self.run_with_placement(Box::new(Static))
-    }
-
-    /// [`run`](Self::run) with an explicit placement policy.
-    ///
-    /// The thin wrapper over the long-lived runtime: start, admit every
-    /// session, drain, shut down. Encoded output is identical under every
-    /// policy; only load distribution (and thus timing telemetry) moves.
-    pub fn run_with_placement(&self, placement: Box<dyn Placement>) -> ServiceReport {
-        let mut runtime = StreamRuntime::start(self.config.clone(), placement);
-        for session in &self.sessions {
-            runtime.admit(session.clone());
-        }
-        runtime.drain();
-        runtime.shutdown()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gaze::{FixationSaccadeConfig, GazeModel, GazeTrace};
-    use crate::placement::PowerOfTwoChoices;
-    use crate::session::{fnv1a_update, FNV_OFFSET_BASIS, GAZE_SEED_SALT};
+    use crate::placement::{Placement, PowerOfTwoChoices, Static};
+    use crate::runtime::StreamRuntime;
+    use crate::session::{
+        fnv1a_update, SessionConfig, WorkloadMix, FNV_OFFSET_BASIS, GAZE_SEED_SALT,
+    };
     use pvc_color::SyntheticDiscriminationModel;
     use pvc_core::BatchEncoder;
     use pvc_fovea::DisplayGeometry;
+    use pvc_frame::Dimensions;
     use pvc_scenes::{SceneConfig, SceneRenderer};
 
     fn tiny_dims() -> Dimensions {
         Dimensions::new(32, 32)
     }
 
-    fn service_with(
+    /// Starts a runtime, admits `sessions`, streams them to completion
+    /// and shuts down.
+    fn serve(
+        config: ServiceConfig,
+        placement: Box<dyn Placement>,
+        sessions: impl IntoIterator<Item = SessionConfig>,
+    ) -> ServiceReport {
+        let mut runtime = StreamRuntime::start(config, placement);
+        for session in sessions {
+            runtime.admit(session);
+        }
+        runtime.drain();
+        runtime.shutdown()
+    }
+
+    fn synthetic(count: usize, frames: u32) -> impl Iterator<Item = SessionConfig> {
+        (0..count).map(move |index| SessionConfig::synthetic(index, tiny_dims(), frames))
+    }
+
+    fn mixed(count: usize, frames: u32) -> impl Iterator<Item = SessionConfig> {
+        (0..count).map(move |index| {
+            SessionConfig::synthetic_mixed(index, WorkloadMix::Bimodal, tiny_dims(), frames)
+        })
+    }
+
+    fn run_with(
         shards: usize,
         session_count: usize,
         frames: u32,
         collect: bool,
-    ) -> StreamService {
-        let mut service = StreamService::new(
-            ServiceConfig::default()
-                .with_shards(shards)
-                .with_collect_payloads(collect),
-        );
-        service.admit_synthetic(session_count, tiny_dims(), frames);
-        service
+        placement: Box<dyn Placement>,
+    ) -> ServiceReport {
+        let config = ServiceConfig::default()
+            .with_shards(shards)
+            .with_collect_payloads(collect);
+        serve(config, placement, synthetic(session_count, frames))
     }
 
     #[test]
     fn shard_count_does_not_change_encoded_streams() {
-        let single = service_with(1, 5, 4, true).run();
-        let sharded = service_with(3, 5, 4, true).run();
+        let single = run_with(1, 5, 4, true, Box::new(Static));
+        let sharded = run_with(3, 5, 4, true, Box::new(Static));
         assert_eq!(single.sessions.len(), 5);
         assert_eq!(sharded.sessions.len(), 5);
         for (a, b) in single.sessions.iter().zip(&sharded.sessions) {
@@ -480,7 +348,6 @@ mod tests {
 
     #[test]
     fn tracing_does_not_change_encoded_streams() {
-        use crate::session::WorkloadMix;
         use pvc_trace::Stage;
 
         let build = |trace: bool| {
@@ -490,9 +357,7 @@ mod tests {
             if trace {
                 config = config.with_trace(TraceConfig::default());
             }
-            let mut service = StreamService::new(config);
-            service.admit_mixed(4, WorkloadMix::Bimodal, tiny_dims(), 2);
-            service.run()
+            serve(config, Box::new(Static), mixed(4, 2))
         };
         let plain = build(false);
         let traced = build(true);
@@ -541,10 +406,9 @@ mod tests {
 
     #[test]
     fn placement_policy_does_not_change_encoded_streams() {
-        let static_run = service_with(3, 5, 4, true).run();
-        let p2c_run =
-            service_with(3, 5, 4, true).run_with_placement(Box::new(PowerOfTwoChoices::default()));
-        for (a, b) in static_run.sessions.iter().zip(&p2c_run.sessions) {
+        let modulo = run_with(3, 5, 4, true, Box::new(Static));
+        let p2c = run_with(3, 5, 4, true, Box::new(PowerOfTwoChoices::default()));
+        for (a, b) in modulo.sessions.iter().zip(&p2c.sessions) {
             assert_eq!(a.session, b.session);
             assert_eq!(a.stream_digest, b.stream_digest);
             assert_eq!(a.payloads, b.payloads);
@@ -554,9 +418,8 @@ mod tests {
 
     #[test]
     fn service_output_matches_a_hand_driven_batch_encoder() {
-        let service = service_with(1, 1, 3, true);
-        let report = service.run();
-        let cfg = &service.sessions()[0];
+        let report = run_with(1, 1, 3, true, Box::new(Static));
+        let cfg = &SessionConfig::synthetic(0, tiny_dims(), 3);
 
         // Re-derive the stream exactly the way the shard pipeline
         // documents it.
@@ -599,11 +462,14 @@ mod tests {
 
     #[test]
     fn sessions_are_routed_to_stable_shards() {
-        let service = service_with(2, 4, 2, false);
-        let report = service.run();
+        let mut runtime = StreamRuntime::start_static(ServiceConfig::default().with_shards(2));
+        let ids: Vec<usize> = synthetic(4, 2).map(|s| runtime.admit(s)).collect();
+        let placed: Vec<Option<usize>> = ids.iter().map(|&id| runtime.assignment(id)).collect();
+        runtime.drain();
+        let report = runtime.shutdown();
         for session in &report.sessions {
             assert_eq!(session.shard, session.session % 2);
-            assert_eq!(service.shard_of(session.session), session.shard);
+            assert_eq!(placed[session.session], Some(session.shard));
         }
         assert_eq!(report.shards.len(), 2);
         assert_eq!(report.shards[0].sessions, 2);
@@ -613,7 +479,7 @@ mod tests {
 
     #[test]
     fn totals_aggregate_every_session() {
-        let report = service_with(2, 3, 2, false).run();
+        let report = run_with(2, 3, 2, false, Box::new(Static));
         assert_eq!(report.totals.frames, 6);
         assert_eq!(
             report.totals.bytes_out,
@@ -625,8 +491,12 @@ mod tests {
         );
         assert!(report.totals.wall_seconds > 0.0);
         assert!(report.totals.frames_per_second() > 0.0);
-        let cache = report.aggregate_cache();
-        assert_eq!(cache.hits + cache.misses, 6);
+        let lookups: u64 = report
+            .sessions
+            .iter()
+            .map(|s| s.cache.hits + s.cache.misses)
+            .sum();
+        assert_eq!(lookups, 6);
         let summary = report.utilization_summary().expect("two shards served");
         assert!(summary.mean >= 0.0 && summary.mean <= 1.0);
     }
@@ -635,7 +505,7 @@ mod tests {
     fn per_session_telemetry_is_nonzero() {
         // Regression: wall_seconds was never assigned per session, so
         // frames_per_second() and output_megabits_per_second() reported 0.
-        let report = service_with(2, 3, 2, false).run();
+        let report = run_with(2, 3, 2, false, Box::new(Static));
         for session in &report.sessions {
             assert!(
                 session.throughput.wall_seconds > 0.0,
@@ -649,24 +519,27 @@ mod tests {
 
     #[test]
     fn run_reports_churn_counters() {
-        let report = service_with(2, 3, 2, false).run();
+        let report = run_with(2, 3, 2, false, Box::new(Static));
         assert_eq!(report.churn.admitted, 3);
         assert_eq!(report.churn.completed, 3);
-        assert_eq!(report.churn.retired, 0, "run() never retires individually");
-        assert_eq!(report.churn.cancelled, 0, "run() never hard-cancels");
+        assert_eq!(report.churn.retired, 0, "nothing was retired individually");
+        assert_eq!(report.churn.cancelled, 0, "nothing was hard-cancelled");
         assert!(report.churn.peak_concurrent >= 1);
         assert_eq!(report.churn.in_flight(), 0);
     }
 
     #[test]
     fn mixed_workloads_report_per_tier_and_pixel_telemetry() {
-        use crate::session::{ResolutionTier, WorkloadMix};
-        let mut service = StreamService::new(ServiceConfig::default().with_shards(2));
-        service.admit_mixed(4, WorkloadMix::Bimodal, tiny_dims(), 2);
-        let report = service.run();
+        use crate::session::ResolutionTier;
+        use pvc_metrics::TierAggregates;
+        let config = ServiceConfig::default().with_shards(2);
+        let report = serve(config, Box::new(Static), mixed(4, 2));
         assert_eq!(report.sessions.len(), 4);
 
-        let tiers = report.tier_summary();
+        let mut tiers = TierAggregates::new();
+        for session in &report.sessions {
+            tiers.record(session.tier.name(), session.cancelled, &session.throughput);
+        }
         assert_eq!(tiers.len(), 2, "bimodal spans two tiers");
         let quest2 = &tiers.entries()[0];
         assert_eq!(quest2.label, ResolutionTier::Quest2.name());
@@ -694,17 +567,15 @@ mod tests {
 
     #[test]
     fn fixation_heavy_gaze_keeps_the_cache_hot() {
-        let mut service = StreamService::new(ServiceConfig::default());
         let pinned_fixation = GazeModel::FixationSaccade(FixationSaccadeConfig {
             min_fixation_frames: 5,
             max_fixation_frames: 5,
             mean_saccade_px: 10.0,
             max_saccade_px: 20.0,
         });
-        service
-            .admit(SessionConfig::synthetic(0, tiny_dims(), 20).with_gaze_model(pinned_fixation));
-        let report = service.run();
-        let cache = report.aggregate_cache();
+        let session = SessionConfig::synthetic(0, tiny_dims(), 20).with_gaze_model(pinned_fixation);
+        let report = serve(ServiceConfig::default(), Box::new(Static), [session]);
+        let cache = report.sessions[0].cache;
         assert_eq!(cache.misses, 4, "20 frames / 5-frame fixations");
         assert_eq!(cache.hits, 16);
         assert!((cache.hit_rate() - 0.8).abs() < 1e-12);
@@ -712,10 +583,14 @@ mod tests {
 
     #[test]
     fn empty_service_produces_an_empty_report() {
-        let report = StreamService::new(ServiceConfig::default().with_shards(2)).run();
+        let report = serve(
+            ServiceConfig::default().with_shards(2),
+            Box::new(Static),
+            [],
+        );
         assert!(report.sessions.is_empty());
         assert_eq!(report.totals.frames, 0);
-        assert_eq!(report.aggregate_cache(), BatchCacheStats::default());
+        assert_eq!(report.churn, ChurnCounters::default());
         assert_eq!(
             report.utilization_summary(),
             None,
@@ -725,7 +600,7 @@ mod tests {
 
     #[test]
     fn more_shards_than_sessions_is_fine() {
-        let report = service_with(4, 2, 2, false).run();
+        let report = run_with(4, 2, 2, false, Box::new(Static));
         assert_eq!(report.sessions.len(), 2);
         assert_eq!(report.totals.frames, 4);
         let occupied: usize = report.shards.iter().map(|s| s.sessions).sum();
@@ -751,7 +626,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "shard count must be non-zero")]
     fn zero_shards_is_rejected() {
-        let _ = StreamService::new(ServiceConfig {
+        let _ = StreamRuntime::start_static(ServiceConfig {
             shards: 0,
             ..ServiceConfig::default()
         });
@@ -759,7 +634,7 @@ mod tests {
 
     #[test]
     fn payloads_are_absent_unless_requested() {
-        let report = service_with(1, 1, 2, false).run();
+        let report = run_with(1, 1, 2, false, Box::new(Static));
         assert!(report.sessions[0].payloads.is_none());
         assert_ne!(report.sessions[0].stream_digest, FNV_OFFSET_BASIS);
     }

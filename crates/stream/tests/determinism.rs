@@ -1,38 +1,42 @@
-//! Stream-service determinism smoke test (runs in the normal test suite).
+//! Runtime determinism smoke test (runs in the normal test suite).
 //!
-//! The acceptance property of the streaming subsystem: a service run with
-//! 1 shard and with 4 shards produces **bit-identical** per-session encoded
-//! streams for the same seeds. Frames are kept small (32×32) so this stays
-//! fast enough for every CI run — the large-scale numbers come from the
-//! `stream_throughput` bench binary instead.
+//! The acceptance property of the streaming subsystem: a batch run (start,
+//! admit every session, drain, shut down) with 1 shard and with 4 shards
+//! produces **bit-identical** per-session encoded streams for the same
+//! seeds. Frames are kept small (32×32) so this stays fast enough for
+//! every CI run — the large-scale numbers come from the `fleet` bench
+//! binary instead.
 
 use pvc_frame::Dimensions;
-use pvc_stream::{GazeModel, ServiceConfig, SessionConfig, StreamService};
+use pvc_stream::{GazeModel, ServiceConfig, ServiceReport, SessionConfig, StreamRuntime};
 
 const SESSIONS: usize = 8;
 const FRAMES: u32 = 6;
 
-fn build_service(shards: usize) -> StreamService {
+fn run(shards: usize) -> ServiceReport {
     let dims = Dimensions::new(32, 32);
-    let mut service = StreamService::new(
+    let mut runtime = StreamRuntime::start_static(
         ServiceConfig::default()
             .with_shards(shards)
             .with_queue_depth(2)
             .with_collect_payloads(true),
     );
-    service.admit_synthetic(SESSIONS - 1, dims, FRAMES);
+    for index in 0..SESSIONS - 1 {
+        runtime.admit(SessionConfig::synthetic(index, dims, FRAMES));
+    }
     // Mix in one smooth-pursuit session so both gaze models are exercised.
-    service.admit(
+    runtime.admit(
         SessionConfig::synthetic(SESSIONS - 1, dims, FRAMES)
             .with_gaze_model(GazeModel::pursuit(1.5)),
     );
-    service
+    runtime.drain();
+    runtime.shutdown()
 }
 
 #[test]
 fn one_and_four_shards_produce_bit_identical_streams() {
-    let single = build_service(1).run();
-    let sharded = build_service(4).run();
+    let single = run(1);
+    let sharded = run(4);
 
     assert_eq!(single.sessions.len(), SESSIONS);
     assert_eq!(sharded.sessions.len(), SESSIONS);
@@ -56,7 +60,7 @@ fn one_and_four_shards_produce_bit_identical_streams() {
     }
 
     // Re-running the same configuration reproduces the digests exactly.
-    let again = build_service(4).run();
+    let again = run(4);
     for (a, b) in sharded.sessions.iter().zip(&again.sessions) {
         assert_eq!(a.stream_digest, b.stream_digest);
     }

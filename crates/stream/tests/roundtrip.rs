@@ -1,7 +1,7 @@
 //! End-to-end wire round-trip: what the client decodes IS what the
 //! worker encoded.
 //!
-//! The service's determinism pins (`determinism.rs`, `cancel_determinism.rs`)
+//! The runtime's determinism pins (`determinism.rs`, `cancel_determinism.rs`)
 //! stop at the encoded payload bytes. This suite closes the remaining
 //! gap: the framed **wire stream** a session ships (see `pvc_stream::wire`)
 //! must carry those payloads faithfully, and a [`pvc_client::SessionClient`]
@@ -14,8 +14,8 @@ use pvc_bdc::BdDecoder;
 use pvc_client::{LinkModel, SessionClient};
 use pvc_frame::{Dimensions, SrgbFrame};
 use pvc_stream::{
-    LeastLoaded, Placement, PowerOfTwoChoices, ResolutionTier, ServiceConfig, SessionConfig,
-    SessionReport, Static, StreamRuntime, StreamService, WorkloadMix,
+    LeastLoaded, Placement, PowerOfTwoChoices, ResolutionTier, ServiceConfig, ServiceReport,
+    SessionConfig, SessionReport, Static, StreamRuntime, WorkloadMix,
 };
 
 /// A heavy-tail mix over eight indices spans all three tiers (one
@@ -27,16 +27,27 @@ fn base_dims() -> Dimensions {
     Dimensions::new(24, 24)
 }
 
-fn build_service(shards: usize) -> StreamService {
-    let mut service = StreamService::new(
+/// Streams the heavy-tail fleet to completion on `shards` shards.
+fn run_fleet(shards: usize, placement: Box<dyn Placement>) -> ServiceReport {
+    let mut runtime = StreamRuntime::start(
         ServiceConfig::default()
             .with_shards(shards)
             .with_queue_depth(2)
             .with_collect_payloads(true)
             .with_collect_wire(true),
+        placement,
     );
-    service.admit_mixed(SESSIONS, WorkloadMix::HeavyTail, base_dims(), BASE_FRAMES);
-    service
+    for index in 0..SESSIONS {
+        let mix = WorkloadMix::HeavyTail;
+        runtime.admit(SessionConfig::synthetic_mixed(
+            index,
+            mix,
+            base_dims(),
+            BASE_FRAMES,
+        ));
+    }
+    runtime.drain();
+    runtime.shutdown()
 }
 
 /// The worker-side ground truth: every payload decoded with the scratch
@@ -94,7 +105,7 @@ fn assert_client_matches_worker(client: &mut SessionClient, session: &SessionRep
 /// worker-side frames on a lossless link.
 #[test]
 fn lossless_client_reconstructs_the_workers_frames() {
-    let report = build_service(1).run();
+    let report = run_fleet(1, Box::new(Static));
     assert_eq!(report.sessions.len(), SESSIONS);
     // All three tiers must actually be present for this to mean anything.
     for tier in ResolutionTier::ALL {
@@ -117,7 +128,7 @@ fn lossless_client_reconstructs_the_workers_frames() {
 /// the fleet was scheduled.
 #[test]
 fn wire_streams_survive_sharding_and_placement() {
-    let reference = build_service(1).run();
+    let reference = run_fleet(1, Box::new(Static));
     let placements: [fn() -> Box<dyn Placement>; 3] = [
         || Box::new(Static),
         || Box::new(PowerOfTwoChoices::default()),
@@ -125,7 +136,7 @@ fn wire_streams_survive_sharding_and_placement() {
     ];
     for make_placement in placements {
         for shards in [1, 4] {
-            let run = build_service(shards).run_with_placement(make_placement());
+            let run = run_fleet(shards, make_placement());
             assert_eq!(run.sessions.len(), SESSIONS);
             let mut client = SessionClient::new(LinkModel::lossless());
             for (a, b) in reference.sessions.iter().zip(&run.sessions) {

@@ -24,7 +24,7 @@ use pvc_core::{EncoderConfig, TemporalConfig};
 use pvc_frame::{Dimensions, SrgbFrame};
 use pvc_stream::{
     LeastLoaded, Placement, PowerOfTwoChoices, Predictive, ResolutionTier, ServiceConfig,
-    SessionConfig, SessionProfile, Static, StreamRuntime, StreamService, WorkloadMix,
+    SessionConfig, SessionProfile, Static, StreamRuntime, WorkloadMix,
 };
 
 const SESSIONS: usize = 8;
@@ -47,9 +47,18 @@ fn temporal_service(shards: usize) -> ServiceConfig {
 /// Runs the heavy-tail fleet and returns each session's (payloads,
 /// digest) in admission order.
 fn fleet_run(shards: usize, placement: Box<dyn Placement>) -> Vec<(Vec<Vec<u8>>, u64)> {
-    let mut service = StreamService::new(temporal_service(shards));
-    service.admit_mixed(SESSIONS, WorkloadMix::HeavyTail, base_dims(), BASE_FRAMES);
-    let report = service.run_with_placement(placement);
+    let mut runtime = StreamRuntime::start(temporal_service(shards), placement);
+    for index in 0..SESSIONS {
+        let mix = WorkloadMix::HeavyTail;
+        runtime.admit(SessionConfig::synthetic_mixed(
+            index,
+            mix,
+            base_dims(),
+            BASE_FRAMES,
+        ));
+    }
+    runtime.drain();
+    let report = runtime.shutdown();
     let mut sessions = report.sessions;
     sessions.sort_by_key(|session| session.session);
     sessions

@@ -82,8 +82,8 @@ pub mod prelude {
     pub use pvc_scenes::{SceneConfig, SceneId, SceneRenderer};
     pub use pvc_stream::{
         FrameSink, GazeModel, GazeTrace, LeastLoaded, PowerOfTwoChoices, ResolutionTier,
-        ServiceConfig, SessionConfig, SessionProfile, StreamRuntime, StreamService, TraceConfig,
-        WireReader, WireRecord, WorkloadMix,
+        ServiceConfig, SessionConfig, SessionProfile, StreamRuntime, TraceConfig, WireReader,
+        WireRecord, WorkloadMix,
     };
     pub use pvc_study::{SceneTrial, StudyConfig, UserStudy};
     pub use pvc_trace::{LatencyHistogram, Recorder, Stage, TraceEpoch, TraceReport};
