@@ -17,7 +17,9 @@
 //!
 //! The `ellipsoid_build` rows time the general route's ellipsoid build,
 //! which the frame encoder runs for models without a fixed shape (RBF) and
-//! for the tiles the fixed-shape closed form does not cover.
+//! for the tiles the fixed-shape closed form does not cover. The host
+//! object names the strip kernel path (`kernel_path`: `"avx2"` or
+//! `"baseline"`) the `stream_*` rows ran on.
 
 use pvc_bdc::{BdConfig, BdDecoder, BdEncoder, BitWriter};
 use pvc_bench::cli::{exit_with_usage, ArgSpec};
@@ -256,12 +258,14 @@ fn bench_bd_decode(frame: &SrgbFrame, iters: u32) -> KernelResult {
 }
 
 /// The whole serving frame encode (`stream_frame`: adjust → quantize →
-/// BD pack tile by tile, through
+/// BD pack one tile row at a time, through
 /// `PerceptualEncoder::encode_frame_stream_into` with the default intra
 /// configuration) on one rendered scene frame: the end-to-end number the
-/// service benches see per shard, minus queueing and rendering. The split
-/// times the three layered public calls the fused loop is pinned against,
-/// on the same frame: `stream_adjust`
+/// service benches see per shard, minus queueing and rendering.
+/// `stream_frame_baseline` times the same encode with the strip kernel
+/// forced onto its baseline compilation (`stream_frame` runs the path the
+/// host object names). The split times the three layered public calls the
+/// fused loop is pinned against, on the same frame: `stream_adjust`
 /// (`PerceptualEncoder::adjust_frame_with_map_into`), `stream_gamma`
 /// (`LinearFrame::to_srgb_into`) and `stream_bd`
 /// (`BdEncoder::encode_frame_into`).
@@ -288,17 +292,21 @@ fn bench_stream_frame(dimensions: Dimensions, iters: u32) -> Vec<KernelResult> {
     let mut scratch = StreamScratch::new();
     let mut out = Vec::new();
     let mut frame_index = 0u32;
-    let fused = time(iters, || {
-        let stats = encoder.encode_frame_stream_into(
-            &frame,
-            &map,
-            &mut history,
-            frame_index,
-            &mut scratch,
-            &mut out,
-        );
-        frame_index += 1;
-        stats.compression.compressed_bits
+    // Baseline first, then the detected kernel path.
+    let mut fused = Vec::with_capacity(2);
+    pvc_core::on_each_kernel_path(|_| {
+        fused.push(time(iters, || {
+            let stats = encoder.encode_frame_stream_into(
+                &frame,
+                &map,
+                &mut history,
+                frame_index,
+                &mut scratch,
+                &mut out,
+            );
+            frame_index += 1;
+            stats.compression.compressed_bits
+        }));
     });
 
     let mut adjust = AdjustScratch::new();
@@ -321,7 +329,8 @@ fn bench_stream_frame(dimensions: Dimensions, iters: u32) -> Vec<KernelResult> {
 
     let pixels = dimensions.pixel_count() as u64 * u64::from(iters);
     [
-        ("stream_frame", fused),
+        ("stream_frame", fused[1]),
+        ("stream_frame_baseline", fused[0]),
         ("stream_adjust", adjust_seconds),
         ("stream_gamma", gamma_seconds),
         ("stream_bd", bd_seconds),

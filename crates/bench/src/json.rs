@@ -295,6 +295,7 @@ pub fn host_json() -> Json {
         ("commit", commit),
         ("rustc", output("rustc", &["--version"])),
         ("profile", profile.into()),
+        ("kernel_path", pvc_core::kernel_path().into()),
     ])
 }
 

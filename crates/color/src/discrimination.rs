@@ -102,17 +102,18 @@ pub trait DiscriminationModel: Send + Sync {
 /// ellipsoid is.
 pub trait ShapeScale: Sync {
     /// Writes the scale of every pixel `(r[i], g[i], b[i])` viewed at
-    /// `eccentricity_deg` into `out`, cleared first.
+    /// `eccentricity_deg[i]` into `out`, cleared first.
     ///
     /// # Panics
     ///
-    /// Panics if the three channel lanes have different lengths.
+    /// Panics if the three channel lanes and the eccentricity lane have
+    /// different lengths.
     fn scales_into(
         &self,
         r: &[f64],
         g: &[f64],
         b: &[f64],
-        eccentricity_deg: f64,
+        eccentricity_deg: &[f64],
         out: &mut Vec<f64>,
     );
 }
@@ -174,7 +175,7 @@ impl<'a> FixedShape<'a> {
         r: &[f64],
         g: &[f64],
         b: &[f64],
-        eccentricity_deg: f64,
+        eccentricity_deg: &[f64],
         out: &mut Vec<f64>,
     ) {
         self.scale.scales_into(r, g, b, eccentricity_deg, out);
@@ -420,26 +421,30 @@ impl DiscriminationModel for SyntheticDiscriminationModel {
 }
 
 impl ShapeScale for SyntheticDiscriminationModel {
-    /// The eccentricity's base extent, computed once, times each pixel's
-    /// luminance boost: the `scale` [`DiscriminationModel::ellipsoid_axes`]
-    /// passes to the semi-axes.
+    /// Each pixel's base extent at its eccentricity times its luminance
+    /// boost: the `scale` [`DiscriminationModel::ellipsoid_axes`] passes to
+    /// the semi-axes.
     fn scales_into(
         &self,
         r: &[f64],
         g: &[f64],
         b: &[f64],
-        eccentricity_deg: f64,
+        eccentricity_deg: &[f64],
         out: &mut Vec<f64>,
     ) {
         assert_channel_lanes_match(r, g, b);
-        let base = self.base_extent(eccentricity_deg);
-        out.clear();
-        out.extend(
-            r.iter()
-                .zip(g)
-                .zip(b)
-                .map(|((&r, &g), &b)| self.extent_scale(base, LinearRgb::new(r, g, b).luminance())),
+        assert_eq!(
+            r.len(),
+            eccentricity_deg.len(),
+            "one eccentricity per pixel is required"
         );
+        out.clear();
+        out.extend(r.iter().zip(g).zip(b).zip(eccentricity_deg).map(
+            |(((&r, &g), &b), &eccentricity)| {
+                let base = self.base_extent(eccentricity);
+                self.extent_scale(base, LinearRgb::new(r, g, b).luminance())
+            },
+        ));
     }
 }
 

@@ -219,8 +219,9 @@ pub fn srgb_to_linear_slice(input: &[f64], out: &mut [f64]) {
 ///
 /// This is the hot gamma/quantization kernel: per element it is the same
 /// LUT lookup as [`linear_to_srgb8`], arranged in explicit 8-wide lanes with
-/// a scalar tail for the remainder, so the compiler vectorizes the bin math
-/// while every element remains bit-identical to the scalar call.
+/// a scalar tail for the remainder. The lookup has no early return (see
+/// `encode_one`), so the loop body is straight-line code the compiler can
+/// vectorize, while every element remains bit-identical to the scalar call.
 ///
 /// # Panics
 ///
@@ -270,20 +271,23 @@ pub fn srgb8_to_linear_slice(input: &[u8], out: &mut [f64]) {
     }
 }
 
+/// The exact LUT quantizer, branch-free: clamp, bin lookup, one `+1`
+/// correction.
+///
+/// The clamp selects `0.0` for every input the reference sends to code 0
+/// (NaN, ±0.0 and negatives, since `x > 0.0` is false for them) and `1.0`
+/// for every input at or above 1.0, the reference's code 255. Code 0's
+/// threshold is above 0.0, and code 255's is below 1.0 while its bin guess
+/// is at least 254 (asserted in `build_encode_tables`), so the lookup then
+/// lands on the saturated codes with no early return.
 #[inline(always)]
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
 fn encode_one(tables: &EncodeTables, x: f64) -> u8 {
-    // `!(x > 0.0)` also catches NaN, matching the reference where a NaN
-    // propagates to the final `as u8` cast and saturates to 0.
-    if !(x > 0.0) {
-        return 0;
-    }
-    if x >= 1.0 {
-        return 255;
-    }
+    let x = if x > 0.0 { x } else { 0.0 };
+    let x = if x < 1.0 { x } else { 1.0 };
     // Multiplying by a power of two is exact, so the cast is an exact floor
-    // and x lies in [bin / BINS, (bin + 1) / BINS).
-    let bin = (x * ENCODE_GUESS_BINS as f64) as usize;
+    // and x lies in [bin / BINS, (bin + 1) / BINS); x = 1.0 takes the last
+    // bin.
+    let bin = ((x * ENCODE_GUESS_BINS as f64) as usize).min(ENCODE_GUESS_BINS - 1);
     let code = tables.guess[bin];
     code + u8::from(x >= tables.thresholds[code as usize + 1])
 }

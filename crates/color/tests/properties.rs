@@ -97,7 +97,7 @@ proptest! {
         let ellipsoid = model.ellipsoid(c, e);
         let shape = model.fixed_shape().expect("the synthetic model has a fixed shape");
         let mut scale = Vec::new();
-        shape.scales_into(&[c.r], &[c.g], &[c.b], e, &mut scale);
+        shape.scales_into(&[c.r], &[c.g], &[c.b], &[e], &mut scale);
         prop_assert!(shape.holds_at(scale[0]));
         for axis in RgbAxis::ALL {
             let dkl = ellipsoid.extrema_along_axis(axis);

@@ -14,6 +14,11 @@
 //! `pvc_core::adjust` rests on: that costing quantizes only each channel's
 //! smallest and largest value, which gives the smallest and largest code
 //! only because `linear_to_srgb8` never decreases.
+//!
+//! Every probe goes through both entry points: the scalar
+//! `linear_to_srgb8` and the slice kernel `linear_to_srgb8_slice`, whose
+//! straight-line clamp-then-lookup form the encoder's strip quantization
+//! runs.
 
 use pvc_color::{
     linear_to_srgb8, linear_to_srgb8_reference, linear_to_srgb8_slice, srgb8_to_linear,
@@ -39,6 +44,23 @@ fn boundary_for_code(v: u8) -> f64 {
     f64::from_bits(hi)
 }
 
+/// The slice kernel's codes for `inputs`.
+fn slice_codes(inputs: &[f64]) -> Vec<u8> {
+    let mut codes = vec![0u8; inputs.len()];
+    linear_to_srgb8_slice(inputs, &mut codes);
+    codes
+}
+
+/// Asserts that the scalar quantizer and the slice kernel both give the
+/// reference code for every input.
+fn assert_both_match_reference(inputs: &[f64], what: &str) {
+    for (&x, &code) in inputs.iter().zip(&slice_codes(inputs)) {
+        let reference = linear_to_srgb8_reference(x);
+        assert_eq!(linear_to_srgb8(x), reference, "scalar LUT, {what} {x:e}");
+        assert_eq!(code, reference, "slice kernel, {what} {x:e}");
+    }
+}
+
 fn next_up(x: f64) -> f64 {
     f64::from_bits(x.to_bits() + 1)
 }
@@ -56,14 +78,7 @@ fn every_code_boundary_is_bit_exact() {
         if boundary > 0.0 {
             probes.push(next_down(boundary));
         }
-        for x in probes {
-            let reference = linear_to_srgb8_reference(x);
-            assert_eq!(
-                linear_to_srgb8(x),
-                reference,
-                "LUT diverges from reference at boundary probe {x:e} (code {v})"
-            );
-        }
+        assert_both_match_reference(&probes, &format!("boundary probe (code {v})"));
         // The boundary really is the decision point for code v.
         assert_eq!(linear_to_srgb8_reference(boundary), v);
         if boundary > 0.0 {
@@ -97,7 +112,8 @@ fn ulp_neighbourhood(x: f64, ulps: u64) -> Vec<f64> {
     (bits - ulps..=bits + ulps).map(f64::from_bits).collect()
 }
 
-/// Asserts `linear_to_srgb8` never decreases along an ascending sequence.
+/// Asserts `linear_to_srgb8` never decreases along an ascending sequence,
+/// and that the slice kernel gives the same codes.
 fn assert_non_decreasing(ascending: &[f64]) {
     for pair in ascending.windows(2) {
         assert!(pair[0] <= pair[1], "probe sequence is not sorted");
@@ -108,12 +124,17 @@ fn assert_non_decreasing(ascending: &[f64]) {
             pair[1]
         );
     }
+    for (&x, &code) in ascending.iter().zip(&slice_codes(ascending)) {
+        assert_eq!(code, linear_to_srgb8(x), "slice kernel diverges at {x:e}");
+    }
 }
 
 #[test]
 fn quantizer_never_decreases_across_a_decision_threshold() {
     for v in 1..=255u8 {
-        assert_non_decreasing(&ulp_neighbourhood(boundary_for_code(v), 4));
+        let neighbourhood = ulp_neighbourhood(boundary_for_code(v), 4);
+        assert_non_decreasing(&neighbourhood);
+        assert_both_match_reference(&neighbourhood, &format!("threshold {v} ±4 ulp"));
     }
 }
 
@@ -123,10 +144,9 @@ fn quantizer_never_decreases_across_a_guess_bin_edge() {
     // at most one; a bin edge is where a wrong guess would show.
     const GUESS_BINS: u32 = 8192;
     for bin in 1..GUESS_BINS {
-        assert_non_decreasing(&ulp_neighbourhood(
-            f64::from(bin) / f64::from(GUESS_BINS),
-            4,
-        ));
+        let neighbourhood = ulp_neighbourhood(f64::from(bin) / f64::from(GUESS_BINS), 4);
+        assert_non_decreasing(&neighbourhood);
+        assert_both_match_reference(&neighbourhood, &format!("bin edge {bin} ±4 ulp"));
     }
 }
 
@@ -150,9 +170,15 @@ fn quantizer_saturates_outside_the_unit_interval() {
         f64::NEG_INFINITY,
     ] {
         assert_eq!(linear_to_srgb8(x), 0, "{x:e} must map to code 0");
+        assert_eq!(slice_codes(&[x]), [0], "slice kernel: {x:e} must map to 0");
     }
     for x in [1.0, next_up(1.0), 1.5, 2.0, f64::MAX, f64::INFINITY] {
         assert_eq!(linear_to_srgb8(x), 255, "{x:e} must map to code 255");
+        assert_eq!(
+            slice_codes(&[x]),
+            [255],
+            "slice kernel: {x:e} must map to 255"
+        );
     }
 }
 
@@ -174,7 +200,7 @@ fn one_million_uniform_samples_are_bit_exact() {
 
 #[test]
 fn special_values_are_bit_exact() {
-    for x in [
+    let specials = [
         f64::NAN,
         f64::INFINITY,
         f64::NEG_INFINITY,
@@ -187,12 +213,15 @@ fn special_values_are_bit_exact() {
         f64::MAX,
         f64::MIN,
         f64::EPSILON,
-    ] {
-        assert_eq!(
-            linear_to_srgb8(x),
-            linear_to_srgb8_reference(x),
-            "special value {x:e}"
-        );
+    ];
+    assert_both_match_reference(&specials, "special value");
+    // Every special in every position of a full lane group and of the
+    // remainder tail.
+    for offset in 0..specials.len() {
+        let mut rotated = specials.to_vec();
+        rotated.rotate_left(offset);
+        rotated.extend_from_slice(&specials[..offset]);
+        assert_both_match_reference(&rotated, "special value (rotated)");
     }
 }
 

@@ -18,19 +18,22 @@
 //! ellipsoid by construction; an additional gamut clamp shortens the move if
 //! it would leave `[0, 1]`.
 //!
-//! The frame path has two routes to the extrema. The general route builds
-//! each pixel's ellipsoid and its extrema in DKL space. For a model that
-//! declares a [`FixedShape`], every extremum is `p ± s · e_axis` with one
-//! constant `e_axis` per axis and a per-pixel scale `s`, and the closed
-//! form (`ClosedForm`) reads that directly: a few multiply-adds per pixel.
-//! A tile whose pixels or scales the shape does not cover falls back to the
-//! general route.
+//! The frame path has two routes to the extrema. For a model that declares
+//! a [`FixedShape`](pvc_color::FixedShape), every extremum is
+//! `p ± s · e_axis` with one constant `e_axis` per axis and a per-pixel
+//! scale `s`, and the strip closed form ([`crate::strip`]) reads that
+//! directly, a few multiply-adds per pixel, over a whole tile row at once
+//! with one SIMD lane per tile. This module holds the other route, the
+//! per-tile general route: it builds each pixel's ellipsoid and its
+//! extrema in DKL space, and serves every tile of a model without a fixed
+//! shape and every tile whose pixels or scales the shape does not cover.
 
+use crate::strip::Strip;
 use pvc_bdc::tile_codec::bits_for_range;
 use pvc_color::lanes::{max_f64, min_f64};
 use pvc_color::{
     dkl_to_rgb_matrix, linear_to_srgb8, AxisExtrema, DiscriminationEllipsoid, DiscriminationModel,
-    EllipsoidLanes, FixedShape, LinearRgb, Mat3, RgbAxis, Vec3, LANE_WIDTH,
+    EllipsoidLanes, LinearRgb, Mat3, RgbAxis, Vec3,
 };
 use pvc_frame::{LinearFrame, LinearTileLanes, TileRect};
 use serde::{Deserialize, Serialize};
@@ -155,17 +158,15 @@ fn clamp_step_to_gamut(origin: Vec3, direction: Vec3, t: f64) -> f64 {
     limit * sign
 }
 
-/// Per-tile SoA working buffers for the vectorized adjustment path.
+/// Per-tile SoA working buffers of the general route.
 ///
 /// Each `Vec` is one contiguous lane the 8-wide kernels stream over: the
-/// tile's pixels, then either its per-pixel scales (closed form) or its
-/// ellipsoids and one axis attempt's extrema (general route), and the
+/// tile's pixels, its ellipsoids and one axis attempt's extrema, and the
 /// candidate and best-so-far output pixel lanes. All buffers are refilled
 /// in place, never shrunk, so the steady state performs no allocation.
 #[derive(Debug, Clone, Default)]
-struct AdjustLanes {
+pub(crate) struct AdjustLanes {
     pixels: LinearTileLanes,
-    scales: Vec<f64>,
     ellipsoids: EllipsoidLanes,
     extrema: ExtremaLanes,
     out: LinearTileLanes,
@@ -176,7 +177,7 @@ impl AdjustLanes {
     /// The pixels a finished search keeps: the best attempt's, or the
     /// original pixels when no attempt beat them (the no-regress guard of
     /// [`search_axes`], which leaves `adjusted_cost == original_cost`).
-    fn winner(&self, outcome: &TileAdjustOutcome) -> &LinearTileLanes {
+    pub(crate) fn winner(&self, outcome: &TileAdjustOutcome) -> &LinearTileLanes {
         if outcome.adjusted_cost < outcome.original_cost {
             &self.best
         } else {
@@ -393,243 +394,22 @@ fn lane_axis_adjust(
     }
 }
 
-/// The per-frame constants of the closed-form axis search for a model
-/// with a [`FixedShape`]. Built once per frame and shared by every tile
-/// (and every worker) of it.
-///
-/// For a pixel `p` of scale `s`, the extrema along axis `A` are
-/// `p ± s · e`, where `e` is the shape's extremum offset, oriented so that
-/// `e_A ≥ 0`. Moving a pixel along its extrema vector until its `A`
-/// channel has moved by `τ` moves it by `τ · u`, with the constant
-/// direction `u = e / e_A`. So one axis attempt over a tile reads each
-/// pixel's three channels and its scale, and nothing else.
-pub(crate) struct ClosedForm<'a> {
-    shape: FixedShape<'a>,
-    steps: [AxisStep; 3],
-}
-
-/// One axis's constants of the closed form.
-#[derive(Debug, Clone, Copy, Default)]
-struct AxisStep {
-    /// `e_A`: the unit shape's half chord along the axis (positive).
-    reach: f64,
-    /// `u = e / e_A` per channel; `u_A` is exactly 1.
-    dir: [f64; 3],
-    /// Per channel, `(bound, 1 / d)` for a move along `+u`
-    /// ([`gamut_room`]).
-    up: [(f64, f64); 3],
-    /// The same for a move along `−u`.
-    down: [(f64, f64); 3],
-}
-
-/// `(bound, 1 / d)` for a channel that moves by `d` per unit step: from a
-/// channel value `o` the step can grow to `(bound − o) · (1 / d)` before
-/// the channel leaves `[0, 1]`. `(∞, 1)` for a channel that does not move,
-/// so its room is infinite.
-fn gamut_room(d: f64) -> (f64, f64) {
-    if d > 0.0 {
-        (1.0, 1.0 / d)
-    } else if d < 0.0 {
-        (0.0, 1.0 / d)
-    } else {
-        (f64::INFINITY, 1.0)
-    }
-}
-
-impl<'a> ClosedForm<'a> {
-    /// The constants of `shape`, or `None` when an extremum offset is not
-    /// finite or has no extent along its own axis.
-    pub(crate) fn new(shape: FixedShape<'a>) -> Option<Self> {
-        let mut steps = [AxisStep::default(); 3];
-        for axis in RgbAxis::ALL {
-            let e = shape.extremum_offset(axis);
-            let reach = e.component(axis.index());
-            if !(reach > 0.0 && e.is_finite()) {
-                return None;
-            }
-            let dir = e.to_array().map(|c| c / reach);
-            steps[axis.index()] = AxisStep {
-                reach,
-                dir,
-                up: dir.map(gamut_room),
-                down: dir.map(|d| gamut_room(-d)),
-            };
-        }
-        Some(ClosedForm { shape, steps })
-    }
-
-    /// Fills the tile's scale lane and reports whether the closed form
-    /// covers the tile: every pixel channel is finite and the shape holds
-    /// at every scale. A NaN pixel makes a NaN scale, and an infinite one
-    /// breaks `p ± s · e`, so either sends the tile to the general route.
-    fn load_scales(
-        &self,
-        pixels: &LinearTileLanes,
-        eccentricity_deg: f64,
-        scales: &mut Vec<f64>,
-    ) -> bool {
-        let (r, g, b) = (&pixels.r, &pixels.g, &pixels.b);
-        self.shape.scales_into(r, g, b, eccentricity_deg, scales);
-        // Non-short-circuiting folds: one branch-free pass per lane.
-        let finite = |lane: &[f64]| lane.iter().fold(true, |ok, x| ok & x.is_finite());
-        finite(r)
-            && finite(g)
-            && finite(b)
-            && scales
-                .iter()
-                .fold(true, |ok, &s| ok & self.shape.holds_at(s))
-    }
-
-    /// One closed-form axis attempt: the HL/LH planes, then every pixel
-    /// moved into `out`. Returns `(hl, lh, case)`.
-    fn attempt(
-        &self,
-        axis: RgbAxis,
-        pixels: &LinearTileLanes,
-        scales: &[f64],
-        out: &mut LinearTileLanes,
-    ) -> (f64, f64, AdjustmentCase) {
-        let step = &self.steps[axis.index()];
-        // One monomorphized loop per axis, so the axis channel is a constant.
-        match axis.index() {
-            0 => closed_form_attempt::<0>(step, pixels, scales, out),
-            1 => closed_form_attempt::<1>(step, pixels, scales, out),
-            _ => closed_form_attempt::<2>(step, pixels, scales, out),
-        }
-    }
-}
-
-/// `HL = max(p_A − s·e_A)` and `LH = min(p_A + s·e_A)` over the tile, in
-/// [`LANE_WIDTH`]-wide accumulators. The values are finite, so the
-/// select-form max and min return the exact extremes in any order.
-fn closed_form_planes(values: &[f64], scales: &[f64], reach: f64) -> (f64, f64) {
-    let mut hl = [f64::NEG_INFINITY; LANE_WIDTH];
-    let mut lh = [f64::INFINITY; LANE_WIDTH];
-    let mut fold = |j: usize, value: f64, scale: f64| {
-        let r = scale * reach;
-        let (low, high) = (value - r, value + r);
-        hl[j] = if low > hl[j] { low } else { hl[j] };
-        lh[j] = if high < lh[j] { high } else { lh[j] };
-    };
-    let mut value_chunks = values.chunks_exact(LANE_WIDTH);
-    let mut scale_chunks = scales.chunks_exact(LANE_WIDTH);
-    for (v, s) in (&mut value_chunks).zip(&mut scale_chunks) {
-        for j in 0..LANE_WIDTH {
-            fold(j, v[j], s[j]);
-        }
-    }
-    for (j, (&v, &s)) in value_chunks
-        .remainder()
-        .iter()
-        .zip(scale_chunks.remainder())
-        .enumerate()
-    {
-        fold(j, v, s);
-    }
-    let max = hl
-        .iter()
-        .fold(f64::NEG_INFINITY, |a, &b| if b > a { b } else { a });
-    let min = lh
-        .iter()
-        .fold(f64::INFINITY, |a, &b| if b < a { b } else { a });
-    (max, min)
-}
-
-/// The closed-form Color Shift along axis `AXIS`: every pixel moves by
-/// `τ · u`, where `τ` is the axis move toward its target plane, clamped to
-/// the chord `±s·e_A` and then shortened to the gamut.
-///
-/// The gamut step keeps [`clamp_step_to_gamut`]'s contract: `τ` keeps its
-/// sign, never grows, and is zero when the pixel already lies outside the
-/// cube in the direction it would move. Unmoved pixels (`τ == 0`) keep
-/// their original bits. Every step is a compare-select, so the loop is
-/// branch-free.
-fn closed_form_attempt<const AXIS: usize>(
-    step: &AxisStep,
-    pixels: &LinearTileLanes,
-    scales: &[f64],
-    out: &mut LinearTileLanes,
-) -> (f64, f64, AdjustmentCase) {
-    let n = pixels.len();
-    let (px, py, pz) = (&pixels.r[..n], &pixels.g[..n], &pixels.b[..n]);
-    let cur = pixels.channel(AXIS);
-    let scales = &scales[..n];
-    let (hl, lh) = closed_form_planes(cur, scales, step.reach);
-    let common_plane = hl <= lh;
-    let plane = 0.5 * (hl + lh);
-    // Every slot is overwritten below; no zero fill needed.
-    out.r.resize(n, 0.0);
-    out.g.resize(n, 0.0);
-    out.b.resize(n, 0.0);
-    let (or_, og, ob) = (&mut out.r[..n], &mut out.g[..n], &mut out.b[..n]);
-    let [ux, uy, uz] = step.dir;
-    for i in 0..n {
-        let value = cur[i];
-        let reach = scales[i] * step.reach;
-        let target = if common_plane {
-            plane
-        } else if value > hl {
-            hl
-        } else if value < lh {
-            lh
-        } else {
-            value
-        };
-        let want = target - value;
-        let tau0 = if want > reach {
-            reach
-        } else if want < -reach {
-            -reach
-        } else {
-            want
-        };
-        // The gamut room both ways, then the one `τ` moves in: the
-        // smallest room over the channels, floored at zero, caps `|τ|`.
-        // That is `clamp_step_to_gamut`'s chained limit, reordered: min and
-        // max are exact, so the order of the comparisons cannot change it.
-        let up = tau0 > 0.0;
-        let mut room_up = f64::INFINITY;
-        let mut room_down = f64::INFINITY;
-        for (c, o) in [px[i], py[i], pz[i]].into_iter().enumerate() {
-            let (bound, inv) = step.up[c];
-            let room = (bound - o) * inv;
-            room_up = if room < room_up { room } else { room_up };
-            let (bound, inv) = step.down[c];
-            let room = (bound - o) * inv;
-            room_down = if room < room_down { room } else { room_down };
-        }
-        let room = if up { room_up } else { room_down };
-        let room = if room > 0.0 { room } else { 0.0 };
-        let magnitude = tau0.abs();
-        let limit = if room < magnitude { room } else { magnitude };
-        let tau = if up { limit } else { -limit };
-        let moved = tau != 0.0;
-        or_[i] = if moved { px[i] + ux * tau } else { px[i] };
-        og[i] = if moved { py[i] + uy * tau } else { py[i] };
-        ob[i] = if moved { pz[i] + uz * tau } else { pz[i] };
-    }
-    let case = if common_plane {
-        AdjustmentCase::CommonPlane
-    } else {
-        AdjustmentCase::NoCommonPlane
-    };
-    (hl, lh, case)
-}
-
-/// Reusable buffers for per-tile adjustment: the working buffers (SoA
-/// pixel, scale, ellipsoid and extrema lanes and the best-so-far pixel
-/// set) the adjustment cycles through, plus AoS `pixels` / `ellipsoids`
-/// inputs and the AoS `best` output of [`adjust_tile_with`].
+/// Reusable buffers for the adjustment: one tile-row strip (the closed
+/// form's `[slot][tile]` lanes and the row's winning pixels), the general
+/// route's per-tile SoA lanes (pixel, ellipsoid and extrema lanes and the
+/// best-so-far pixel set), plus AoS `pixels` / `ellipsoids` inputs and the
+/// AoS `best` output of [`adjust_tile_with`].
 ///
 /// The frame encoder never touches the AoS buffers: it gathers each tile
-/// straight into the pixel lanes, has the model fill the scale or the
-/// ellipsoid lanes, and reads the winning lanes back
-/// (see `PerceptualEncoder::adjust_frame_with_map_into`). They serve only
-/// callers that hold a tile as AoS slices — tests, references and
-/// `kernel_bench`.
+/// row into the strip, adjusts it there (sending the tiles the closed form
+/// does not cover through the per-tile lanes) and reads the winning lanes
+/// back (see `PerceptualEncoder::adjust_frame_with_map_into`). The AoS
+/// buffers serve only callers that hold a tile as AoS slices — tests,
+/// references and `kernel_bench`. No buffer is frame-sized: the largest
+/// holds one tile row.
 ///
 /// One scratch serves an unbounded stream of tiles: every buffer is
-/// cleared, never shrunk, so after the first few tiles the hot loop
+/// cleared, never shrunk, so after the first few tile rows the hot loop
 /// performs no allocation at all. The figure path builds one scratch per
 /// frame, and streaming sessions keep one alive for their whole lifetime.
 #[derive(Debug, Clone, Default)]
@@ -640,8 +420,9 @@ pub struct AdjustScratch {
     /// One discrimination ellipsoid per pixel for [`adjust_tile_with`],
     /// built by the caller.
     pub ellipsoids: Vec<DiscriminationEllipsoid>,
-    lanes: AdjustLanes,
+    pub(crate) lanes: AdjustLanes,
     best: Vec<LinearRgb>,
+    pub(crate) strip: Strip,
 }
 
 impl AdjustScratch {
@@ -654,19 +435,6 @@ impl AdjustScratch {
     /// [`adjust_tile_with`].
     pub fn best(&self) -> &[LinearRgb] {
         &self.best
-    }
-
-    /// The winning pixels, as lanes, of the most recent adjustment, which
-    /// returned `outcome`.
-    pub(crate) fn winner(&self, outcome: &TileAdjustOutcome) -> &LinearTileLanes {
-        self.lanes.winner(outcome)
-    }
-
-    /// Gathers a tile unchanged into the scratch's pixel lanes and returns
-    /// them: the path of a foveal tile, which bypasses the adjustment.
-    pub(crate) fn gather(&mut self, frame: &LinearFrame, tile: TileRect) -> &LinearTileLanes {
-        frame.tile_lanes_into(tile, &mut self.lanes.pixels);
-        &self.lanes.pixels
     }
 }
 
@@ -790,114 +558,92 @@ pub fn adjust_tile_with(scratch: &mut AdjustScratch, axes: &[RgbAxis]) -> TileAd
     let lanes = &mut scratch.lanes;
     lanes.pixels.fill_from_pixels(&scratch.pixels);
     lanes.ellipsoids.fill_from(&scratch.ellipsoids);
-    let outcome = search_axes(lanes, axes, None);
+    let outcome = search_axes(lanes, axes);
     lanes.winner(&outcome).scatter_into(&mut scratch.best);
     outcome
 }
 
-/// Adjusts one tile of `frame` through `scratch` with the ellipsoids
-/// `model` gives it at `eccentricity_deg`: the frame encoder's per-tile
-/// step. The winning pixels stay in the scratch's lanes, for
-/// [`AdjustScratch::winner`].
+/// Adjusts one tile of `frame` through the general route's `lanes` with
+/// the ellipsoids `model` gives it at `eccentricity_deg`: the frame
+/// encoder's per-tile step for a tile the strip closed form does not
+/// cover. The winning pixels stay in the lanes, for
+/// [`AdjustLanes::winner`].
 ///
-/// The tile is gathered straight into the pixel lanes. When `closed_form`
-/// (built from `model`'s [`FixedShape`]) covers the tile, the axis search
-/// reads the pixels and their scales directly. Otherwise the model writes
-/// the ellipsoid lanes ([`DiscriminationModel::ellipsoid_lanes`]) and the
-/// search takes the general route, bit-identical to gathering the tile
-/// with `tile_pixels_into`, building one `model.ellipsoid` per pixel and
-/// calling [`adjust_tile_with`].
+/// The tile is gathered straight into the pixel lanes and the model writes
+/// the ellipsoid lanes ([`DiscriminationModel::ellipsoid_lanes`]), which
+/// is bit-identical to gathering the tile with `tile_pixels_into`,
+/// building one `model.ellipsoid` per pixel and calling
+/// [`adjust_tile_with`].
 ///
 /// # Panics
 ///
 /// Panics if `axes` is empty or the tile extends outside the frame.
 pub(crate) fn adjust_frame_tile<M: DiscriminationModel + ?Sized>(
-    scratch: &mut AdjustScratch,
+    lanes: &mut AdjustLanes,
     frame: &LinearFrame,
     tile: TileRect,
     model: &M,
-    closed_form: Option<&ClosedForm<'_>>,
     eccentricity_deg: f64,
     axes: &[RgbAxis],
 ) -> TileAdjustOutcome {
-    let lanes = &mut scratch.lanes;
     frame.tile_lanes_into(tile, &mut lanes.pixels);
-    let closed_form =
-        closed_form.filter(|cf| cf.load_scales(&lanes.pixels, eccentricity_deg, &mut lanes.scales));
-    if closed_form.is_none() {
-        let pixels = &lanes.pixels;
-        model.ellipsoid_lanes(
-            &pixels.r,
-            &pixels.g,
-            &pixels.b,
-            eccentricity_deg,
-            &mut lanes.ellipsoids,
-        );
-    }
-    search_axes(lanes, axes, closed_form)
+    let pixels = &lanes.pixels;
+    model.ellipsoid_lanes(
+        &pixels.r,
+        &pixels.g,
+        &pixels.b,
+        eccentricity_deg,
+        &mut lanes.ellipsoids,
+    );
+    search_axes(lanes, axes)
 }
 
-/// The axis search over a tile already held in `lanes.pixels` and, for
-/// the closed form, `lanes.scales`, else `lanes.ellipsoids`: every
-/// candidate axis runs one attempt, the first minimal attempt wins and
-/// its pixels stay in `lanes.best`, unless no attempt beats the original
-/// pixels (see [`AdjustLanes::winner`]).
+/// The axis search over a tile already held in `lanes.pixels` and
+/// `lanes.ellipsoids`: every candidate axis runs one attempt, the first
+/// minimal attempt wins and its pixels stay in `lanes.best`, unless no
+/// attempt beats the original pixels (see [`AdjustLanes::winner`]).
 ///
 /// # Panics
 ///
-/// Panics if `axes` is empty, if the tile is empty, or, on the general
-/// route, if the pixel and ellipsoid lanes have different lengths.
-fn search_axes(
-    lanes: &mut AdjustLanes,
-    axes: &[RgbAxis],
-    closed_form: Option<&ClosedForm<'_>>,
-) -> TileAdjustOutcome {
+/// Panics if `axes` is empty, if the tile is empty, or if the pixel and
+/// ellipsoid lanes have different lengths.
+fn search_axes(lanes: &mut AdjustLanes, axes: &[RgbAxis]) -> TileAdjustOutcome {
     assert!(
         !axes.is_empty(),
         "at least one optimization axis is required"
     );
-    if closed_form.is_none() {
-        assert_eq!(
-            lanes.pixels.len(),
-            lanes.ellipsoids.len(),
-            "one ellipsoid per pixel is required"
-        );
-    }
+    assert_eq!(
+        lanes.pixels.len(),
+        lanes.ellipsoids.len(),
+        "one ellipsoid per pixel is required"
+    );
     assert!(!lanes.pixels.is_empty(), "cannot adjust an empty tile");
 
     let dkl_to_rgb = dkl_to_rgb_matrix();
     let original_cost = delta_bit_cost_lanes(&lanes.pixels);
     let mut chosen: Option<TileAdjustOutcome> = None;
     for &axis in axes {
-        let (hl, lh, case) = match closed_form {
-            Some(cf) => cf.attempt(axis, &lanes.pixels, &lanes.scales, &mut lanes.out),
-            None => {
-                // Phase 1: per-pixel extrema (the Compute Extrema blocks
-                // of the CAU), straight into direction and plane-value
-                // lanes.
-                extrema_lanes(&lanes.ellipsoids, dkl_to_rgb, axis, &mut lanes.extrema);
-                let extrema = &lanes.extrema;
+        // Phase 1: per-pixel extrema (the Compute Extrema blocks of the
+        // CAU), straight into direction and plane-value lanes.
+        extrema_lanes(&lanes.ellipsoids, dkl_to_rgb, axis, &mut lanes.extrema);
+        let extrema = &lanes.extrema;
 
-                // Phase 2: HL / LH reduction (the Compute Planes blocks).
-                // The chunked reductions visit values in a different order
-                // than a scalar fold, which is harmless: f64 max/min are
-                // associative and commutative over the non-NaN values
-                // extrema produce.
-                let hl = max_f64(&extrema.low);
-                let lh = min_f64(&extrema.high);
+        // Phase 2: HL / LH reduction (the Compute Planes blocks). The
+        // chunked reductions visit values in a different order than a
+        // scalar fold, which is harmless: f64 max/min are associative and
+        // commutative over the non-NaN values extrema produce.
+        let hl = max_f64(&extrema.low);
+        let lh = min_f64(&extrema.high);
 
-                // Phase 3: color shifts (the Color Shift blocks), lane-wise.
-                let case = lane_axis_adjust(
-                    &lanes.pixels,
-                    (&extrema.dir_x, &extrema.dir_y, &extrema.dir_z),
-                    axis,
-                    hl,
-                    lh,
-                    &mut lanes.out,
-                );
-                (hl, lh, case)
-            }
-        };
+        // Phase 3: color shifts (the Color Shift blocks), lane-wise.
+        let case = lane_axis_adjust(
+            &lanes.pixels,
+            (&extrema.dir_x, &extrema.dir_y, &extrema.dir_z),
+            axis,
+            hl,
+            lh,
+            &mut lanes.out,
+        );
         let adjusted_cost = delta_bit_cost_lanes(&lanes.out);
         // Strict `<` keeps the first minimal axis, like min_by_key.
         if chosen.map_or(true, |c| adjusted_cost < c.adjusted_cost) {

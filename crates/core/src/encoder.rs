@@ -1,15 +1,16 @@
 //! The full-frame perceptual encoder.
 
-use crate::adjust::{adjust_frame_tile, AdjustScratch, ClosedForm, TileAdjustOutcome};
+use crate::adjust::AdjustScratch;
 use crate::config::EncoderConfig;
 use crate::stats::AdjustmentStats;
+use crate::strip::{ClosedForm, StripCodes};
 use pvc_bdc::{
     BdConfig, BdEncodedFrame, BdEncoder, BitWriter, CompressionStats, FramePacker,
     TemporalFrameStats,
 };
 use pvc_color::{DiscriminationModel, LinearRgb};
 use pvc_fovea::{DisplayGeometry, EccentricityMap, GazePoint};
-use pvc_frame::{Dimensions, LinearFrame, SrgbFrame, SrgbTileLanes, TileGrid, TileRect};
+use pvc_frame::{Dimensions, LinearFrame, SrgbFrame, TileGrid};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -84,14 +85,15 @@ impl<M: DiscriminationModel> PerceptualEncoder<M> {
     /// The single implementation of the adjustment: like
     /// [`Self::adjust_frame`], but reuses a prebuilt eccentricity map,
     /// writes the adjusted frame into a caller-provided buffer and runs the
-    /// per-tile machinery out of a caller-provided [`AdjustScratch`].
+    /// tile machinery out of a caller-provided [`AdjustScratch`].
     ///
     /// The map only depends on the display geometry, tile grid, gaze and
     /// fovea configuration — not on pixel data — so a session encoding many
     /// frames at the same gaze (see [`crate::BatchEncoder`]) can build it
-    /// once and amortise its cost across the stream. Every tile is adjusted
-    /// in place through the scratch, so once its buffers are warm the
-    /// adjustment performs no allocation.
+    /// once and amortise its cost across the stream. Each tile row is
+    /// adjusted in the scratch's strip and scattered into `out`, so once
+    /// the scratch's buffers are warm the adjustment performs no
+    /// allocation.
     ///
     /// # Panics
     ///
@@ -106,26 +108,38 @@ impl<M: DiscriminationModel> PerceptualEncoder<M> {
     ) -> AdjustmentStats {
         let grid = self.checked_grid(frame, eccentricity);
         out.clone_from(frame);
-        let mut stats = AdjustmentStats {
-            total_tiles: grid.tile_count(),
-            ..Default::default()
-        };
-        // The closed form's constants: once per frame, shared by every tile.
-        let closed_form = self.model.fixed_shape().and_then(ClosedForm::new);
-        let closed_form = closed_form.as_ref();
-        // Adjust straight through the caller's scratch and write each
-        // winning tile's lanes into `out` — no per-tile allocation.
-        for tile in grid.tiles() {
-            if eccentricity.is_foveal_tile(tile) {
-                stats.foveal_tiles += 1;
-                continue;
-            }
-            let outcome =
-                self.adjust_tile_into_scratch(frame, eccentricity, tile, closed_form, scratch);
-            stats.record_case(outcome.case);
-            out.write_tile_lanes(tile, scratch.winner(&outcome));
+        let mut stats = AdjustmentStats::default();
+        let closed_form = self.closed_form();
+        for ty in 0..grid.tiles_y() {
+            stats.merge(&self.adjust_strip(frame, eccentricity, ty, closed_form.as_ref(), scratch));
+            scratch.strip.scatter_into(out);
         }
         stats
+    }
+
+    /// The closed form's constants for this frame, when the model has a
+    /// fixed shape: built once per frame and shared by every strip.
+    fn closed_form(&self) -> Option<ClosedForm<'_>> {
+        self.model.fixed_shape().and_then(ClosedForm::new)
+    }
+
+    /// Adjusts tile row `ty` into the scratch's strip.
+    fn adjust_strip(
+        &self,
+        frame: &LinearFrame,
+        eccentricity: &EccentricityMap,
+        ty: u32,
+        closed_form: Option<&ClosedForm<'_>>,
+        scratch: &mut AdjustScratch,
+    ) -> AdjustmentStats {
+        scratch.adjust_strip(
+            frame,
+            eccentricity,
+            ty,
+            &self.model,
+            closed_form,
+            &self.config.axes,
+        )
     }
 
     /// The frame's tile grid, after checking that `eccentricity` was built
@@ -143,29 +157,6 @@ impl<M: DiscriminationModel> PerceptualEncoder<M> {
             "eccentricity map must cover the frame's tile grid"
         );
         grid
-    }
-
-    /// Gathers one (non-foveal) tile straight into the scratch's lanes and
-    /// adjusts it, through the closed form when it covers the tile; the
-    /// winning pixels stay in the scratch ([`AdjustScratch::winner`]).
-    fn adjust_tile_into_scratch(
-        &self,
-        frame: &LinearFrame,
-        eccentricity: &EccentricityMap,
-        tile: TileRect,
-        closed_form: Option<&ClosedForm<'_>>,
-        scratch: &mut AdjustScratch,
-    ) -> TileAdjustOutcome {
-        let ecc = eccentricity.tile_eccentricity(tile);
-        adjust_frame_tile(
-            scratch,
-            frame,
-            tile,
-            &self.model,
-            closed_form,
-            ecc,
-            &self.config.axes,
-        )
     }
 
     /// Runs the complete pipeline of Fig. 7: adjust colors, gamma-encode to
@@ -216,10 +207,11 @@ impl<M: DiscriminationModel> PerceptualEncoder<M> {
     /// gaze — or, with temporal coding enabled, a predicted frame of
     /// per-tile Skip / Delta / Intra records against `history`.
     ///
-    /// Each tile, in grid order, is adjusted in the scratch's lanes (a
-    /// foveal tile is gathered unchanged), quantized to sRGB8 lanes with
-    /// the exact LUT, and handed to the BD [`FramePacker`]. No frame-sized
-    /// intermediate exists: the bytes equal the layered composition
+    /// Each tile row is adjusted in the scratch's strip (foveal tiles pass
+    /// through unchanged) and its winning lanes are quantized to sRGB8
+    /// codes with the exact LUT; then each of its tiles, in grid order, is
+    /// handed to the BD [`FramePacker`]. No frame-sized intermediate
+    /// exists: the bytes equal the layered composition
     /// [`Self::adjust_frame_with_map_into`] → [`LinearFrame::to_srgb_into`]
     /// → [`BdEncoder::encode_frame_into`] (or
     /// [`pvc_bdc::encode_temporal_frame_into`] against the previous
@@ -268,39 +260,33 @@ impl<M: DiscriminationModel> PerceptualEncoder<M> {
         } else {
             FramePacker::predicted(&mut scratch.writer, dimensions, tile_size)
         };
-        let mut adjustment = AdjustmentStats {
-            total_tiles: grid.tile_count(),
-            ..Default::default()
-        };
-        let closed_form = self.model.fixed_shape().and_then(ClosedForm::new);
+        let mut adjustment = AdjustmentStats::default();
+        let closed_form = self.closed_form();
         // Where the tile starts in the history's tile-major planes.
         let mut offset = 0;
-        for tile in grid.tiles() {
-            let linear = if eccentricity.is_foveal_tile(tile) {
-                adjustment.foveal_tiles += 1;
-                scratch.adjust.gather(frame, tile)
-            } else {
-                let outcome = self.adjust_tile_into_scratch(
-                    frame,
-                    eccentricity,
-                    tile,
-                    closed_form.as_ref(),
-                    &mut scratch.adjust,
-                );
-                adjustment.record_case(outcome.case);
-                scratch.adjust.winner(&outcome)
-            };
-            scratch.tile.quantize_from(linear);
-            let current = scratch.tile.as_slices();
-            let pixels = offset..offset + current[0].len();
-            offset = pixels.end;
-            if keyframe {
-                packer.intra_tile(current);
-            } else {
-                packer.predicted_tile(current, history.tile_mut(pixels.clone()));
-            }
-            if temporal.enabled {
-                history.store(pixels, current);
+        for ty in 0..grid.tiles_y() {
+            let strip_stats = self.adjust_strip(
+                frame,
+                eccentricity,
+                ty,
+                closed_form.as_ref(),
+                &mut scratch.adjust,
+            );
+            adjustment.merge(&strip_stats);
+            let strip = &scratch.adjust.strip;
+            strip.quantize_into(&mut scratch.codes);
+            for t in 0..strip.tile_count() {
+                let current = strip.tile_codes(t, &scratch.codes);
+                let pixels = offset..offset + current[0].len();
+                offset = pixels.end;
+                if keyframe {
+                    packer.intra_tile(current);
+                } else {
+                    packer.predicted_tile(current, history.tile_mut(pixels.clone()));
+                }
+                if temporal.enabled {
+                    history.store(pixels, current);
+                }
             }
         }
         let (temporal_stats, compression) = packer.finish();
@@ -338,21 +324,22 @@ impl<M: DiscriminationModel> PerceptualEncoder<M> {
 
 /// Reusable state for the serving encode path
 /// ([`PerceptualEncoder::encode_frame_stream_into`] /
-/// `BatchEncoder::encode_frame_stream_into`): the tile adjustment
-/// buffers, one tile's sRGB8 lanes and the bitstream writer. It holds no
-/// frame-sized buffer: the encode works one tile at a time.
+/// `BatchEncoder::encode_frame_stream_into`): the adjustment buffers (one
+/// tile-row strip and one tile's general-route lanes), the strip's sRGB8
+/// codes and the bitstream writer. It holds no frame-sized buffer: the
+/// encode works one tile row at a time.
 ///
 /// Buffers grow on the first frame and are reused verbatim afterwards, so
 /// session lifetime — not frame count — bounds the allocations. One
 /// scratch may serve sessions of different frame sizes and tile sizes
 /// back to back (a shard worker does exactly that): nothing in it is
-/// bit-relevant across frames, and the tile buffers simply warm up to the
-/// largest tile seen.
+/// bit-relevant across frames, and the strip buffers simply warm up to the
+/// largest tile row seen.
 #[derive(Debug, Clone, Default)]
 pub struct StreamScratch {
     adjust: AdjustScratch,
-    /// The current tile, quantized to sRGB8 lanes.
-    tile: SrgbTileLanes,
+    /// The current strip's winning lanes, quantized to sRGB8 codes.
+    codes: StripCodes,
     writer: BitWriter,
     timing: Duration,
 }

@@ -11,7 +11,9 @@
 //! The crate provides:
 //!
 //! * [`adjust`] — the per-tile analytical color adjustment (extrema, HL/LH
-//!   planes, case-1/case-2 moves of Fig. 6),
+//!   planes, case-1/case-2 moves of Fig. 6) and its general route,
+//! * [`strip`] — the fixed-shape closed form over a whole tile row, one SIMD
+//!   lane per tile, with an AVX2 clone chosen at run time,
 //! * [`encoder`] — the full-frame [`PerceptualEncoder`] that combines the
 //!   gaze-dependent eccentricity map, the foveal bypass, the per-tile
 //!   adjustment along both candidate axes, and the existing BD back-end,
@@ -46,7 +48,9 @@
 //! assert_eq!(shown.dimensions(), dims);
 //! ```
 
-#![forbid(unsafe_code)]
+// The one exception is the runtime dispatch to the strip kernel's AVX2
+// clone (`strip::run_kernel`).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;
@@ -56,6 +60,7 @@ pub mod config;
 pub mod encoder;
 pub mod solver;
 pub mod stats;
+pub mod strip;
 
 pub use ablation::{run_ablation, AblationResult, AblationVariant};
 pub use adjust::{
@@ -69,3 +74,6 @@ pub use encoder::{
 };
 pub use solver::IterativeSolver;
 pub use stats::AdjustmentStats;
+pub use strip::kernel_path;
+#[doc(hidden)]
+pub use strip::on_each_kernel_path;

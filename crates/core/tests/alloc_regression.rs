@@ -11,7 +11,8 @@
 //! a warm frame, all in the same measured window. The producer side of a
 //! stream frame is pinned too: rendering a scene into a recycled pool
 //! buffer must not allocate either (the noise cursors and the renderer's
-//! column strips live on the stack).
+//! column strips live on the stack). The encode pin runs on the strip
+//! kernel's baseline compilation and on its AVX2 clone.
 //!
 //! The counter is per thread, as in `crates/bdc/tests/bitstream_adversarial.rs`:
 //! every measured call runs on the test's own thread, while the test
@@ -24,7 +25,7 @@
 
 use pvc_bdc::{BdDecoder, FrameKind};
 use pvc_color::{Srgb8, SyntheticDiscriminationModel};
-use pvc_core::{BatchEncoder, EncoderConfig, StreamScratch, TemporalConfig};
+use pvc_core::{on_each_kernel_path, BatchEncoder, EncoderConfig, StreamScratch, TemporalConfig};
 use pvc_fovea::{DisplayGeometry, GazePoint};
 use pvc_frame::{Dimensions, SrgbFrame};
 use pvc_scenes::{SceneConfig, SceneId, SceneRenderer};
@@ -101,7 +102,16 @@ fn assert_rendering_into_a_sized_frame_does_not_allocate() {
 #[test]
 fn steady_state_stream_frames_do_not_allocate() {
     assert_rendering_into_a_sized_frame_does_not_allocate();
+    on_each_kernel_path(|path| {
+        eprintln!("steady-state stream frames: {path} kernel");
+        assert_steady_state_stream_frames_do_not_allocate();
+    });
+}
 
+/// Encodes intra and temporal sessions, decodes every payload and records
+/// trace spans over a warm-up pass, then asserts zero allocation events
+/// over the same schedule again.
+fn assert_steady_state_stream_frames_do_not_allocate() {
     let dims = Dimensions::new(96, 64);
     let renderer = SceneRenderer::new(SceneId::Office, SceneConfig::new(dims));
     let frames: Vec<_> = (0..4).map(|t| renderer.render_linear(t)).collect();

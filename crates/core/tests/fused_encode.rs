@@ -19,13 +19,15 @@
 //! multiple, foveal tiles, all three temporal tile modes (a repeated
 //! frame makes every tile a Skip), one scratch shared by two interleaved
 //! sessions of different sizes, a `reset()`, and one history used at a
-//! second tile size, which must force a keyframe.
+//! second tile size, which must force a keyframe. Every case runs on the
+//! strip kernel's baseline compilation and on its AVX2 clone (where the
+//! CPU has AVX2).
 
 use pvc_bdc::{BdConfig, BdEncoder, BitWriter, TemporalFrameStats};
 use pvc_color::{LinearRgb, Srgb8, SyntheticDiscriminationModel};
 use pvc_core::{
-    AdjustScratch, EncoderConfig, PerceptualEncoder, StreamFrameStats, StreamScratch,
-    TemporalConfig, TemporalHistory,
+    on_each_kernel_path, AdjustScratch, EncoderConfig, PerceptualEncoder, StreamFrameStats,
+    StreamScratch, TemporalConfig, TemporalHistory,
 };
 use pvc_fovea::{DisplayGeometry, EccentricityMap, GazePoint};
 use pvc_frame::{Dimensions, LinearFrame, SrgbFrame, SrgbTileLanes, TileGrid};
@@ -223,6 +225,13 @@ const TIMES: [u32; 9] = [0, 1, 2, 2, 3, 4, 5, 6, 7];
 
 #[test]
 fn fused_frames_equal_the_layered_composition() {
+    on_each_kernel_path(|path| {
+        eprintln!("fused_frames_equal_the_layered_composition: {path} kernel");
+        fused_frames_equal_the_layered_composition_once();
+    });
+}
+
+fn fused_frames_equal_the_layered_composition_once() {
     let mut scratch = StreamScratch::new();
     let mut coverage = Coverage::default();
     for (dims, scene) in [
@@ -259,6 +268,13 @@ fn fused_frames_equal_the_layered_composition() {
 
 #[test]
 fn one_scratch_serves_interleaved_sessions_of_different_sizes() {
+    on_each_kernel_path(|path| {
+        eprintln!("one_scratch_serves_interleaved_sessions_of_different_sizes: {path} kernel");
+        one_scratch_serves_interleaved_sessions_of_different_sizes_once();
+    });
+}
+
+fn one_scratch_serves_interleaved_sessions_of_different_sizes_once() {
     let mut scratch = StreamScratch::new();
     let mut small = Session::new(
         encoder(4, Some(5)),
@@ -296,6 +312,13 @@ fn one_scratch_serves_interleaved_sessions_of_different_sizes() {
 
 #[test]
 fn a_history_used_at_another_tile_size_forces_a_keyframe() {
+    on_each_kernel_path(|path| {
+        eprintln!("a_history_used_at_another_tile_size_forces_a_keyframe: {path} kernel");
+        a_history_used_at_another_tile_size_forces_a_keyframe_once();
+    });
+}
+
+fn a_history_used_at_another_tile_size_forces_a_keyframe_once() {
     let dims = Dimensions::new(40, 24);
     let encoders = [encoder(4, Some(100)), encoder(8, Some(100))];
     let mut session = Session::new(encoders[0].clone(), SceneId::Monkey, dims, 9);

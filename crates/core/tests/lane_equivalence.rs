@@ -14,13 +14,15 @@
 //! channel's extremes).
 //!
 //! A second pin covers the frame path: `adjust_frame_with_map_into`
-//! gathers each tile straight into lanes and must equal the per-tile AoS
-//! composition bit for bit. For a model with a fixed shape the reference
-//! is a scalar closed form in the kernel's operation order, with the
-//! kernel's per-tile fallback; every other tile, and every tile of a model
-//! without one, goes through `tile_pixels_into`, one `model.ellipsoid` per
-//! pixel and `adjust_tile_with`. Any drift in gather order, in the
-//! ellipsoid lanes or in the closed form shows up there. On clean frames
+//! adjusts each tile row in `[slot][tile]` strip lanes and must equal the
+//! per-tile AoS composition bit for bit, on the strip kernel's baseline
+//! compilation and on its AVX2 clone. For a model with a fixed shape the
+//! reference is a scalar closed form in the kernel's operation order, with
+//! the kernel's per-tile fallback; every other tile, and every tile of a
+//! model without one, goes through `tile_pixels_into`, one
+//! `model.ellipsoid` per pixel and `adjust_tile_with`. Any drift in gather
+//! order, in the strip layout, in the ellipsoid lanes or in the closed
+//! form shows up there. On clean frames
 //! the pin also checks the paper's promise in linear space: every adjusted
 //! pixel stays inside its original pixel's ellipsoid. The pin counts every
 //! NaN as one value: Rust leaves the sign and payload of an arithmetic NaN
@@ -35,8 +37,8 @@ use pvc_color::{
     RbfDiscriminationModel, RgbAxis, SyntheticDiscriminationModel,
 };
 use pvc_core::{
-    adjust_tile_along_axis, adjust_tile_with, AdjustScratch, AdjustmentCase, AdjustmentStats,
-    AxisAdjustment, EncoderConfig, PerceptualEncoder,
+    adjust_tile_along_axis, adjust_tile_with, on_each_kernel_path, AdjustScratch, AdjustmentCase,
+    AdjustmentStats, AxisAdjustment, EncoderConfig, PerceptualEncoder,
 };
 use pvc_fovea::{DisplayGeometry, EccentricityMap, GazePoint};
 use pvc_frame::{Dimensions, LinearFrame, TileGrid};
@@ -276,7 +278,7 @@ fn closed_form_adjust_tile(
     let channel = |c: usize| -> Vec<f64> { pixels.iter().map(|p| p.channel(c)).collect() };
     let (r, g, b) = (channel(0), channel(1), channel(2));
     let mut scales = Vec::new();
-    shape.scales_into(&r, &g, &b, ecc, &mut scales);
+    shape.scales_into(&r, &g, &b, &vec![ecc; pixels.len()], &mut scales);
     let finite = pixels.iter().all(|p| p.to_vec3().is_finite());
     if !finite || !scales.iter().all(|&s| shape.holds_at(s)) {
         return None;
@@ -405,7 +407,13 @@ fn poisoned(mut frame: LinearFrame) -> LinearFrame {
     frame
 }
 
+/// [`check_frame_path_on`] on the strip kernel's baseline compilation and
+/// on its AVX2 clone (where the CPU has AVX2).
 fn check_frame_path<M: DiscriminationModel + Clone>(model: M) {
+    on_each_kernel_path(|path| check_frame_path_on(&model, path));
+}
+
+fn check_frame_path_on<M: DiscriminationModel + Clone>(model: &M, path: &str) {
     let dims = Dimensions::new(70, 45);
     let display = DisplayGeometry::quest2_like(dims);
     let gazes = [GazePoint::center_of(dims), GazePoint::new(9.0, 38.0)];
@@ -424,16 +432,16 @@ fn check_frame_path<M: DiscriminationModel + Clone>(model: M) {
                     let map = EccentricityMap::per_tile(&display, &grid, gaze, config.fovea);
                     let stats =
                         encoder.adjust_frame_with_map_into(&frame, &map, &mut scratch, &mut out);
-                    let (want, want_stats) = aos_adjust_frame(&model, &config, &frame, &map);
+                    let (want, want_stats) = aos_adjust_frame(model, &config, &frame, &map);
                     let label = format!(
-                        "{} scene {scene:?}, tile {tile_size}, gaze {gaze:?}",
+                        "{} scene {scene:?}, tile {tile_size}, gaze {gaze:?}, {path} kernel",
                         model.name()
                     );
                     assert_eq!(stats, want_stats, "{label}");
                     assert_eq!(out.dimensions(), want.dimensions(), "{label}");
                     assert!(frame_bits(&out) == frame_bits(&want), "{label}");
                     if !is_poisoned {
-                        assert_inside_ellipsoids(&model, &config, &frame, &map, &out, &label);
+                        assert_inside_ellipsoids(model, &config, &frame, &map, &out, &label);
                     }
                 }
             }

@@ -78,19 +78,6 @@ impl SrgbTileLanes {
         [&mut self.r, &mut self.g, &mut self.b]
     }
 
-    /// Gamma-encodes and quantizes linear lanes into these lanes, which
-    /// are resized to match. Per sample this is the exact LUT quantizer
-    /// of [`LinearFrame::to_srgb_into`], so a tile quantized here equals
-    /// the same tile gathered from the quantized frame.
-    pub fn quantize_from(&mut self, linear: &LinearTileLanes) {
-        let lanes = [&mut self.r, &mut self.g, &mut self.b];
-        for (codes, values) in lanes.into_iter().zip([&linear.r, &linear.g, &linear.b]) {
-            codes.clear();
-            codes.resize(values.len(), 0);
-            pvc_color::linear_to_srgb8_slice(values, codes);
-        }
-    }
-
     /// Transposes an AoS pixel slice into the three lanes, clearing them
     /// first.
     pub fn fill_from_pixels(&mut self, pixels: &[Srgb8]) {
@@ -238,36 +225,6 @@ impl LinearFrame {
             }
         });
     }
-
-    /// Writes a tile's lanes (in [`Self::tile_lanes_into`] order) back
-    /// into the frame: the SoA twin of [`write_tile`](Self::write_tile).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tile extends outside the frame or the lane length
-    /// does not match the tile area.
-    pub fn write_tile_lanes(&mut self, tile: TileRect, lanes: &LinearTileLanes) {
-        assert_eq!(lanes.len(), tile.pixel_count(), "tile pixel count mismatch");
-        assert!(
-            tile.x + tile.width <= self.width() && tile.y + tile.height <= self.height(),
-            "tile extends outside the frame"
-        );
-        let (width, tile_width) = (self.width() as usize, tile.width as usize);
-        let pixels = self.pixels_mut();
-        for dy in 0..tile.height as usize {
-            let row_start = (tile.y as usize + dy) * width + tile.x as usize;
-            let row = &mut pixels[row_start..row_start + tile_width];
-            let lane = dy * tile_width..(dy + 1) * tile_width;
-            let (r, g, b) = (
-                &lanes.r[lane.clone()],
-                &lanes.g[lane.clone()],
-                &lanes.b[lane],
-            );
-            for (i, p) in row.iter_mut().enumerate() {
-                *p = LinearRgb::new(r[i], g[i], b[i]);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -321,46 +278,6 @@ mod tests {
             let mut scattered = Vec::new();
             lanes.scatter_into(&mut scattered);
             assert_eq!(scattered, aos);
-        }
-    }
-
-    #[test]
-    fn linear_lane_write_matches_aos_write() {
-        let d = Dimensions::new(7, 5);
-        let mut source = LinearFrame::filled(d, LinearRgb::BLACK);
-        for (i, p) in source.pixels_mut().iter_mut().enumerate() {
-            let t = i as f64 / 34.0;
-            *p = LinearRgb::new(t, 1.0 - t, 0.5 * t);
-        }
-        let mut by_lanes = LinearFrame::filled(d, LinearRgb::BLACK);
-        let mut lanes = LinearTileLanes::new();
-        for tile in TileGrid::new(d, 4).tiles() {
-            source.tile_lanes_into(tile, &mut lanes);
-            by_lanes.write_tile_lanes(tile, &lanes);
-        }
-        assert_eq!(by_lanes, source);
-    }
-
-    #[test]
-    fn quantized_lanes_match_the_quantized_frame() {
-        let d = Dimensions::new(13, 7);
-        let mut f = LinearFrame::filled(d, LinearRgb::BLACK);
-        for (i, p) in f.pixels_mut().iter_mut().enumerate() {
-            let t = i as f64 / 90.0;
-            // Out-of-gamut values clamp exactly as the frame path does.
-            *p = LinearRgb::new(t, 1.1 - t, t * t - 0.05);
-        }
-        let srgb = f.to_srgb();
-        let (mut linear, mut quantized, mut gathered) = (
-            LinearTileLanes::new(),
-            SrgbTileLanes::new(),
-            SrgbTileLanes::new(),
-        );
-        for tile in TileGrid::new(d, 4).tiles() {
-            f.tile_lanes_into(tile, &mut linear);
-            quantized.quantize_from(&linear);
-            srgb.tile_lanes_into(tile, &mut gathered);
-            assert_eq!(quantized, gathered);
         }
     }
 

@@ -5,7 +5,8 @@
 //! produces **bit-identical** per-session encoded streams for the same
 //! seeds. Frames are kept small (32×32) so this stays fast enough for
 //! every CI run — the large-scale numbers come from the `fleet` bench
-//! binary instead.
+//! binary instead. The whole check runs on the strip kernel's baseline
+//! compilation and on its AVX2 clone, whose streams must also be equal.
 
 use pvc_frame::Dimensions;
 use pvc_stream::{GazeModel, ServiceConfig, ServiceReport, SessionConfig, StreamRuntime};
@@ -35,6 +36,18 @@ fn run(shards: usize) -> ServiceReport {
 
 #[test]
 fn one_and_four_shards_produce_bit_identical_streams() {
+    // Both compilations of the strip kernel must give the same streams.
+    let mut digests = Vec::new();
+    pvc_core::on_each_kernel_path(|path| {
+        eprintln!("shard determinism: {path} kernel");
+        digests.push(check_shard_determinism());
+    });
+    assert_eq!(digests[0], digests[1], "the kernel paths disagree");
+}
+
+/// Runs the 1-shard and 4-shard batches (and the 4-shard one again) and
+/// asserts bit-identical streams; returns the per-session digests.
+fn check_shard_determinism() -> Vec<u64> {
     let single = run(1);
     let sharded = run(4);
 
@@ -64,4 +77,5 @@ fn one_and_four_shards_produce_bit_identical_streams() {
     for (a, b) in sharded.sessions.iter().zip(&again.sessions) {
         assert_eq!(a.stream_digest, b.stream_digest);
     }
+    single.sessions.iter().map(|s| s.stream_digest).collect()
 }
