@@ -286,8 +286,10 @@ fn encode_one(tables: &EncodeTables, x: f64) -> u8 {
     let x = if x < 1.0 { x } else { 1.0 };
     // Multiplying by a power of two is exact, so the cast is an exact floor
     // and x lies in [bin / BINS, (bin + 1) / BINS); x = 1.0 takes the last
-    // bin.
-    let bin = ((x * ENCODE_GUESS_BINS as f64) as usize).min(ENCODE_GUESS_BINS - 1);
+    // bin. After the clamp the product lies in [0, BINS], so the `i32`
+    // cast (one truncating convert, where `as usize` is a compare-and-
+    // subtract sequence) is the same floor.
+    let bin = ((x * ENCODE_GUESS_BINS as f64) as i32 as usize).min(ENCODE_GUESS_BINS - 1);
     let code = tables.guess[bin];
     code + u8::from(x >= tables.thresholds[code as usize + 1])
 }

@@ -107,7 +107,8 @@ impl<M: DiscriminationModel> PerceptualEncoder<M> {
         out: &mut LinearFrame,
     ) -> AdjustmentStats {
         let grid = self.checked_grid(frame, eccentricity);
-        out.clone_from(frame);
+        // Each strip's `scatter_into` writes every pixel of its tile row.
+        out.reset(frame.dimensions(), LinearRgb::BLACK);
         let mut stats = AdjustmentStats::default();
         let closed_form = self.closed_form();
         for ty in 0..grid.tiles_y() {

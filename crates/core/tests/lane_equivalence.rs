@@ -15,8 +15,9 @@
 //!
 //! A second pin covers the frame path: `adjust_frame_with_map_into`
 //! adjusts each tile row in `[slot][tile]` strip lanes and must equal the
-//! per-tile AoS composition bit for bit, on the strip kernel's baseline
-//! compilation and on its AVX2 clone. For a model with a fixed shape the
+//! per-tile AoS composition bit for bit, on every compilation of the strip
+//! kernel this CPU runs (baseline, AVX2, AVX-512), over a scene frame and
+//! a width sweep across the kernel's register blocks. For a model with a fixed shape the
 //! reference is a scalar closed form in the kernel's operation order, with
 //! the kernel's per-tile fallback; every other tile, and every tile of a
 //! model without one, goes through `tile_pixels_into`, one
@@ -407,10 +408,13 @@ fn poisoned(mut frame: LinearFrame) -> LinearFrame {
     frame
 }
 
-/// [`check_frame_path_on`] on the strip kernel's baseline compilation and
-/// on its AVX2 clone (where the CPU has AVX2).
+/// [`check_frame_path_on`] and [`check_width_sweep_on`] on every
+/// compilation of the strip kernel this CPU runs.
 fn check_frame_path<M: DiscriminationModel + Clone>(model: M) {
-    on_each_kernel_path(|path| check_frame_path_on(&model, path));
+    on_each_kernel_path(|path| {
+        check_frame_path_on(&model, path);
+        check_width_sweep_on(&model, path);
+    });
 }
 
 fn check_frame_path_on<M: DiscriminationModel + Clone>(model: &M, path: &str) {
@@ -419,33 +423,105 @@ fn check_frame_path_on<M: DiscriminationModel + Clone>(model: &M, path: &str) {
     let gazes = [GazePoint::center_of(dims), GazePoint::new(9.0, 38.0)];
     // One scratch and one output frame across every run: the frame path
     // must not depend on what a previous frame left in them.
-    let mut scratch = AdjustScratch::new();
-    let mut out = LinearFrame::filled(Dimensions::new(1, 1), LinearRgb::BLACK);
+    let mut buffers = (
+        AdjustScratch::new(),
+        LinearFrame::filled(Dimensions::new(1, 1), LinearRgb::BLACK),
+    );
     for scene in SceneId::ALL {
         let rendered = SceneRenderer::new(scene, SceneConfig::new(dims)).render_linear(3);
         for (frame, is_poisoned) in [(rendered.clone(), false), (poisoned(rendered), true)] {
             for tile_size in [4, 8] {
                 let config = EncoderConfig::default().with_tile_size(tile_size);
-                let encoder = PerceptualEncoder::new(model.clone(), config.clone());
+                let encoder = PerceptualEncoder::new(model.clone(), config);
                 let grid = TileGrid::new(dims, tile_size);
                 for gaze in gazes {
-                    let map = EccentricityMap::per_tile(&display, &grid, gaze, config.fovea);
-                    let stats =
-                        encoder.adjust_frame_with_map_into(&frame, &map, &mut scratch, &mut out);
-                    let (want, want_stats) = aos_adjust_frame(model, &config, &frame, &map);
+                    let map =
+                        EccentricityMap::per_tile(&display, &grid, gaze, encoder.config().fovea);
                     let label = format!(
                         "{} scene {scene:?}, tile {tile_size}, gaze {gaze:?}, {path} kernel",
                         model.name()
                     );
-                    assert_eq!(stats, want_stats, "{label}");
-                    assert_eq!(out.dimensions(), want.dimensions(), "{label}");
-                    assert!(frame_bits(&out) == frame_bits(&want), "{label}");
-                    if !is_poisoned {
-                        assert_inside_ellipsoids(model, &config, &frame, &map, &out, &label);
-                    }
+                    assert_frame_path_matches(
+                        &encoder,
+                        &frame,
+                        &map,
+                        is_poisoned,
+                        &mut buffers,
+                        &label,
+                    );
                 }
             }
         }
+    }
+}
+
+/// The strip kernel reduces its per-tile accumulators in register blocks
+/// of 8 tiles and the last `tiles % 8` in a plain loop: strips of 1 to 17
+/// tiles, each with a whole and with a clipped last tile, at tile sizes 4
+/// and 8 and over a clipped last tile row, cover every block count and
+/// every remainder.
+fn check_width_sweep_on<M: DiscriminationModel + Clone>(model: &M, path: &str) {
+    let mut buffers = (
+        AdjustScratch::new(),
+        LinearFrame::filled(Dimensions::new(1, 1), LinearRgb::BLACK),
+    );
+    for tile_size in [4u32, 8] {
+        let config = EncoderConfig::default().with_tile_size(tile_size);
+        let encoder = PerceptualEncoder::new(model.clone(), config);
+        for tiles in 1..=17u32 {
+            let whole = tiles * tile_size;
+            for width in [whole, whole - tile_size / 2 - 1] {
+                let dims = Dimensions::new(width, 2 * tile_size + 3);
+                let scene = SceneId::ALL[tiles as usize % SceneId::ALL.len()];
+                let rendered = SceneRenderer::new(scene, SceneConfig::new(dims)).render_linear(1);
+                let grid = TileGrid::new(dims, tile_size);
+                let map = EccentricityMap::per_tile(
+                    &DisplayGeometry::quest2_like(dims),
+                    &grid,
+                    GazePoint::new(0.0, 0.0),
+                    encoder.config().fovea,
+                );
+                for (frame, is_poisoned) in [(rendered.clone(), false), (poisoned(rendered), true)]
+                {
+                    let label = format!(
+                        "{} width sweep {dims:?}, tile {tile_size}, poisoned {is_poisoned}, \
+                         {path} kernel",
+                        model.name()
+                    );
+                    assert_frame_path_matches(
+                        &encoder,
+                        &frame,
+                        &map,
+                        is_poisoned,
+                        &mut buffers,
+                        &label,
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Adjusts `frame` through `adjust_frame_with_map_into`, with the scratch
+/// and output frame in `buffers`, and requires the per-tile AoS
+/// composition's pixels and statistics; on a clean frame, also that every
+/// adjusted pixel stays inside its ellipsoid.
+fn assert_frame_path_matches<M: DiscriminationModel>(
+    encoder: &PerceptualEncoder<M>,
+    frame: &LinearFrame,
+    map: &EccentricityMap,
+    is_poisoned: bool,
+    (scratch, out): &mut (AdjustScratch, LinearFrame),
+    label: &str,
+) {
+    let (model, config) = (encoder.model(), encoder.config());
+    let stats = encoder.adjust_frame_with_map_into(frame, map, scratch, out);
+    let (want, want_stats) = aos_adjust_frame(model, config, frame, map);
+    assert_eq!(stats, want_stats, "{label}");
+    assert_eq!(out.dimensions(), want.dimensions(), "{label}");
+    assert!(frame_bits(out) == frame_bits(&want), "{label}");
+    if !is_poisoned {
+        assert_inside_ellipsoids(model, config, frame, map, out, label);
     }
 }
 

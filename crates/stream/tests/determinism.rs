@@ -5,8 +5,9 @@
 //! produces **bit-identical** per-session encoded streams for the same
 //! seeds. Frames are kept small (32×32) so this stays fast enough for
 //! every CI run — the large-scale numbers come from the `fleet` bench
-//! binary instead. The whole check runs on the strip kernel's baseline
-//! compilation and on its AVX2 clone, whose streams must also be equal.
+//! binary instead. The whole check runs on every compilation of the strip
+//! kernel this CPU runs (baseline, AVX2, AVX-512), whose streams must also
+//! be equal.
 
 use pvc_frame::Dimensions;
 use pvc_stream::{GazeModel, ServiceConfig, ServiceReport, SessionConfig, StreamRuntime};
@@ -36,13 +37,19 @@ fn run(shards: usize) -> ServiceReport {
 
 #[test]
 fn one_and_four_shards_produce_bit_identical_streams() {
-    // Both compilations of the strip kernel must give the same streams.
-    let mut digests = Vec::new();
+    // Every compilation of the strip kernel must give the same streams.
+    let mut runs = Vec::new();
     pvc_core::on_each_kernel_path(|path| {
         eprintln!("shard determinism: {path} kernel");
-        digests.push(check_shard_determinism());
+        runs.push((path, check_shard_determinism()));
     });
-    assert_eq!(digests[0], digests[1], "the kernel paths disagree");
+    let (_, baseline) = &runs[0];
+    for (path, digests) in &runs[1..] {
+        assert_eq!(
+            digests, baseline,
+            "the {path} kernel disagrees with the baseline"
+        );
+    }
 }
 
 /// Runs the 1-shard and 4-shard batches (and the 4-shard one again) and
