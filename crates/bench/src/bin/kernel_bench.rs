@@ -18,8 +18,8 @@
 //! The `ellipsoid_build` rows time the general route's ellipsoid build,
 //! which the frame encoder runs for models without a fixed shape (RBF) and
 //! for the tiles the fixed-shape closed form does not cover. The host
-//! object names the strip kernel path (`kernel_path`: `"avx512"`,
-//! `"avx2"` or `"baseline"`) the `stream_frame` row ran on.
+//! object names the strip kernel path (`kernel_path`: `"avx2"` or
+//! `"baseline"`) the `stream_*` rows ran on.
 
 use pvc_bdc::{BdConfig, BdDecoder, BdEncoder, BitWriter};
 use pvc_bench::cli::{exit_with_usage, ArgSpec};
@@ -36,7 +36,7 @@ use std::time::Instant;
 
 /// One kernel's measurement: pixels processed and wall time.
 struct KernelResult {
-    kernel: String,
+    kernel: &'static str,
     pixels: u64,
     wall_seconds: f64,
 }
@@ -94,7 +94,7 @@ fn bench_srgb_encode(pixels_per_iter: usize, iters: u32, seed: &mut u64) -> Kern
         sum
     });
     KernelResult {
-        kernel: "srgb_encode".into(),
+        kernel: "srgb_encode",
         pixels: pixels_per_iter as u64 * u64::from(iters),
         wall_seconds,
     }
@@ -119,7 +119,7 @@ fn bench_srgb_decode(pixels_per_iter: usize, iters: u32, seed: &mut u64) -> Kern
         sum
     });
     KernelResult {
-        kernel: "srgb_decode".into(),
+        kernel: "srgb_decode",
         pixels: pixels_per_iter as u64 * u64::from(iters),
         wall_seconds,
     }
@@ -172,7 +172,7 @@ fn bench_ellipsoid_build(
         sum
     });
     KernelResult {
-        kernel: kernel.into(),
+        kernel,
         pixels: pixels_per_iter as u64 * u64::from(iters),
         wall_seconds,
     }
@@ -200,7 +200,7 @@ fn bench_adjust_axis(
         sum
     });
     KernelResult {
-        kernel: "adjust_axis".into(),
+        kernel: "adjust_axis",
         pixels: pixels_per_iter as u64 * u64::from(iters),
         wall_seconds,
     }
@@ -230,7 +230,7 @@ fn bench_bd_pack(frame: &SrgbFrame, iters: u32) -> KernelResult {
         stats.compressed_bits
     });
     KernelResult {
-        kernel: "bd_pack".into(),
+        kernel: "bd_pack",
         pixels: frame.dimensions().pixel_count() as u64 * u64::from(iters),
         wall_seconds,
     }
@@ -251,7 +251,7 @@ fn bench_bd_decode(frame: &SrgbFrame, iters: u32) -> KernelResult {
         out.pixels()[0]
     });
     KernelResult {
-        kernel: "bd_decode".into(),
+        kernel: "bd_decode",
         pixels: frame.dimensions().pixel_count() as u64 * u64::from(iters),
         wall_seconds,
     }
@@ -262,10 +262,9 @@ fn bench_bd_decode(frame: &SrgbFrame, iters: u32) -> KernelResult {
 /// `PerceptualEncoder::encode_frame_stream_into` with the default intra
 /// configuration) on one rendered scene frame: the end-to-end number the
 /// service benches see per shard, minus queueing and rendering.
-/// `stream_frame_<path>` times the same encode with the strip kernel
-/// forced onto each compilation this CPU runs (`baseline`, then `avx2` and
-/// `avx512` where detected); `stream_frame` repeats the row of the path
-/// the host object names. The split times the three layered public calls the
+/// `stream_frame_baseline` times the same encode with the strip kernel
+/// forced onto its baseline compilation (`stream_frame` runs the path the
+/// host object names). The split times the three layered public calls the
 /// fused loop is pinned against, on the same frame: `stream_adjust`
 /// (`PerceptualEncoder::adjust_frame_with_map_into`), `stream_gamma`
 /// (`LinearFrame::to_srgb_into`) and `stream_bd`
@@ -293,11 +292,10 @@ fn bench_stream_frame(dimensions: Dimensions, iters: u32) -> Vec<KernelResult> {
     let mut scratch = StreamScratch::new();
     let mut out = Vec::new();
     let mut frame_index = 0u32;
-    // Baseline first, then each detected clone; the last is the detected
-    // path.
-    let mut fused = Vec::new();
-    pvc_core::on_each_kernel_path(|path| {
-        let seconds = time(iters, || {
+    // Baseline first, then the detected kernel path.
+    let mut fused = Vec::with_capacity(2);
+    pvc_core::on_each_kernel_path(|_| {
+        fused.push(time(iters, || {
             let stats = encoder.encode_frame_stream_into(
                 &frame,
                 &map,
@@ -308,8 +306,7 @@ fn bench_stream_frame(dimensions: Dimensions, iters: u32) -> Vec<KernelResult> {
             );
             frame_index += 1;
             stats.compression.compressed_bits
-        });
-        fused.push((format!("stream_frame_{path}"), seconds));
+        }));
     });
 
     let mut adjust = AdjustScratch::new();
@@ -331,21 +328,20 @@ fn bench_stream_frame(dimensions: Dimensions, iters: u32) -> Vec<KernelResult> {
     });
 
     let pixels = dimensions.pixel_count() as u64 * u64::from(iters);
-    let detected = fused.last().expect("the detected path ran").1;
-    let split = [
+    [
+        ("stream_frame", fused[1]),
+        ("stream_frame_baseline", fused[0]),
         ("stream_adjust", adjust_seconds),
         ("stream_gamma", gamma_seconds),
         ("stream_bd", bd_seconds),
-    ];
-    std::iter::once(("stream_frame".to_owned(), detected))
-        .chain(fused)
-        .chain(split.map(|(kernel, seconds)| (kernel.to_owned(), seconds)))
-        .map(|(kernel, wall_seconds)| KernelResult {
-            kernel,
-            pixels,
-            wall_seconds,
-        })
-        .collect()
+    ]
+    .into_iter()
+    .map(|(kernel, wall_seconds)| KernelResult {
+        kernel,
+        pixels,
+        wall_seconds,
+    })
+    .collect()
 }
 
 /// The per-tile eccentricity map (`EccentricityMap::per_tile`, default
@@ -370,7 +366,7 @@ fn bench_map_build(dimensions: Dimensions, tile_size: u32, iters: u32) -> Kernel
         EccentricityMap::per_tile(&display, &grid, gaze, FoveaConfig::default()).foveal_fraction()
     });
     KernelResult {
-        kernel: "map_build".into(),
+        kernel: "map_build",
         pixels: dimensions.pixel_count() as u64 * u64::from(iters),
         wall_seconds,
     }
@@ -395,7 +391,7 @@ fn bench_render(dimensions: Dimensions, iters: u32) -> KernelResult {
         frame.pixel(0, 0).r
     });
     KernelResult {
-        kernel: "render".into(),
+        kernel: "render",
         pixels: (dimensions.pixel_count() * renderers.len()) as u64 * u64::from(iters),
         wall_seconds,
     }
@@ -411,7 +407,7 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 
 /// One kernel's rate over every run of the suite.
 struct KernelSummary {
-    kernel: String,
+    kernel: &'static str,
     /// Pixels processed per run.
     pixels: u64,
     /// Mpx/s of each run, ascending.
@@ -489,7 +485,6 @@ fn main() {
     let mut summaries: Vec<KernelSummary> = Vec::new();
     for run in 0..runs {
         for (i, result) in run_suite(quick).into_iter().enumerate() {
-            let rate = result.megapixels_per_second();
             if run == 0 {
                 summaries.push(KernelSummary {
                     kernel: result.kernel,
@@ -497,7 +492,7 @@ fn main() {
                     rates: Vec::with_capacity(runs),
                 });
             }
-            summaries[i].rates.push(rate);
+            summaries[i].rates.push(result.megapixels_per_second());
         }
     }
     for summary in &mut summaries {
@@ -509,13 +504,13 @@ fn main() {
         if quick { "quick" } else { "full" }
     );
     println!(
-        "{:<22} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "{:<20} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "kernel", "Mpx/run", "Mpx/s", "q1", "q3", "ns/px"
     );
     for summary in &summaries {
         let (q1, median, q3) = summary.quartiles();
         println!(
-            "{:<22} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.1}",
+            "{:<20} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.1}",
             summary.kernel,
             summary.pixels as f64 / 1e6,
             median,
@@ -531,7 +526,7 @@ fn main() {
             .map(|summary| {
                 let (q1, median, q3) = summary.quartiles();
                 object([
-                    ("kernel", summary.kernel.as_str().into()),
+                    ("kernel", summary.kernel.into()),
                     ("pixels_per_run", summary.pixels.into()),
                     (
                         "megapixels_per_second",

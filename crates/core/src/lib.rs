@@ -13,7 +13,7 @@
 //! * [`adjust`] — the per-tile analytical color adjustment (extrema, HL/LH
 //!   planes, case-1/case-2 moves of Fig. 6) and its general route,
 //! * [`strip`] — the fixed-shape closed form over a whole tile row, one SIMD
-//!   lane per tile, with an AVX2 or AVX-512 clone chosen at run time,
+//!   lane per tile, with an AVX2 clone chosen at run time,
 //! * [`encoder`] — the full-frame [`PerceptualEncoder`] that combines the
 //!   gaze-dependent eccentricity map, the foveal bypass, the per-tile
 //!   adjustment along both candidate axes, and the existing BD back-end,

@@ -27,34 +27,35 @@
 //!
 //! The two reductions that run once per attempt, the sanitized min/max and
 //! the HL/LH planes, walk the strip in register blocks instead: one block
-//! of [`BLOCK`] = 8 tiles (one 512-bit register of `f64`s, or two 256-bit
-//! ones) at a time over all slots, with the accumulators in local arrays
-//! stored once per block, and the last `tiles % BLOCK` tiles in the plain
-//! loop. A strip's lanes (about 88 KB at 256² with 4×4 tiles) outrun L1,
-//! and a per-slot-row accumulator in memory compiled to masked stores in
-//! the AVX2 clone.
+//! of `BLOCK` = 8 tiles (two 256-bit registers of `f64`s) at a time over
+//! all slots, with the accumulators in local arrays stored once per block,
+//! and the last `tiles % BLOCK` tiles in the plain loop. A strip's lanes
+//! (about 88 KB at 256² with 4×4 tiles) outrun L1, and a per-slot-row
+//! accumulator in memory compiled to masked stores in the AVX2 clone.
 //!
 //! Every per-pixel expression is the per-tile closed form's, in the same
 //! order, and every reduction is an exact min or max over values that are
 //! never NaN or −0.0 on a covered tile, so a covered tile's pixels, case
 //! and costs are bit-identical to adjusting it alone. A clipped edge tile
 //! repeats its first pixel in its spare slots, which changes none of its
-//! minima, maxima or planes.
+//! minima, maxima or planes. The kernel never calls `mul_add`, so no
+//! instruction set can fuse a product into a sum.
 //!
-//! The kernel is compiled three times from one `#[inline(always)]` body:
-//! for the build's baseline target, as an AVX2 clone and as an AVX-512
-//! clone (F, VL, BW and DQ), and the best one the CPU runs is picked once
-//! per process by `std::is_x86_feature_detected!` (see [`kernel_path`]).
-//! All three compile the same IEEE operations: the kernel never calls
-//! `mul_add`, and rustc never contracts a product and a sum into a fused
-//! multiply-add, so the `fma` feature that `avx512f` implies changes no
-//! result.
+//! The kernel is compiled twice from one `#[inline(always)]` body: once for
+//! the build's baseline target and once as an AVX2 clone, picked once per
+//! process by `std::is_x86_feature_detected!` (see [`kernel_path`]).
+//! Enabling AVX2 adds wider registers and blends, not fused multiply-adds
+//! (that is the separate `fma` feature), so both compile the same IEEE
+//! operations. An AVX-512 clone was measured and left out: on an Emerald
+//! Rapids Xeon its end-to-end gain over the AVX2 clone (×1.035 in the
+//! median frame rate) stayed inside the AVX2 build's own run-to-run
+//! spread.
 //!
 //! The sRGB8 quantizer of the costs and of the winner lanes
 //! (`linear_to_srgb8_slice`) stays in `pvc_color`, compiled for the
-//! baseline target: on a 2-core Xeon (Emerald Rapids), quantizing 196,608
-//! random-walk values took 1.5 ns per value as baseline code, 1.7–1.8
-//! inlined into an AVX2 function and 2.3–2.5 into an AVX-512 one.
+//! baseline target: on the same Xeon, quantizing 196,608 random-walk
+//! values took 1.5 ns per value as baseline code and 1.7–1.8 inlined into
+//! an AVX2 function.
 //!
 //! Foveal tiles pass through unchanged. A non-foveal tile the closed form
 //! does not cover (a non-finite channel, or a scale outside the shape's
@@ -68,7 +69,7 @@ use pvc_bdc::tile_codec::bits_for_range;
 use pvc_color::{linear_to_srgb8_slice, DiscriminationModel, FixedShape, LinearRgb, RgbAxis};
 use pvc_fovea::EccentricityMap;
 use pvc_frame::{LinearFrame, LinearTileLanes, TileGrid, TileRect};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// The per-frame constants of the closed-form axis search for a model
@@ -448,144 +449,81 @@ impl AdjustScratch {
     }
 }
 
-/// A compilation of the strip kernel, in order of preference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum KernelPath {
-    /// The build's target features.
-    Baseline,
-    /// The AVX2 clone.
-    Avx2,
-    /// The AVX-512 clone (F, VL, BW and DQ).
-    Avx512,
+/// Set by [`on_each_kernel_path`] while it runs its baseline pass.
+static FORCE_BASELINE: AtomicBool = AtomicBool::new(false);
+
+/// Whether this CPU runs the AVX2 clone, detected once per process.
+fn avx2_detected() -> bool {
+    static DETECTED: OnceLock<bool> = OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            std::is_x86_feature_detected!("avx2")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    })
 }
 
-impl KernelPath {
-    const ALL: [KernelPath; 3] = [KernelPath::Baseline, KernelPath::Avx2, KernelPath::Avx512];
-
-    fn name(self) -> &'static str {
-        match self {
-            KernelPath::Baseline => "baseline",
-            KernelPath::Avx2 => "avx2",
-            KernelPath::Avx512 => "avx512",
-        }
-    }
-
-    /// The best path this CPU runs, detected once per process. Every
-    /// path before it in [`Self::ALL`] runs too.
-    fn detected() -> KernelPath {
-        static DETECTED: OnceLock<KernelPath> = OnceLock::new();
-        *DETECTED.get_or_init(|| {
-            #[cfg(target_arch = "x86_64")]
-            {
-                use std::arch::is_x86_feature_detected as has;
-                if !has!("avx2") {
-                    KernelPath::Baseline
-                } else if has!("avx512f")
-                    && has!("avx512vl")
-                    && has!("avx512bw")
-                    && has!("avx512dq")
-                    // rustc's `avx512f` implies `fma` and `f16c`.
-                    && has!("fma")
-                    && has!("f16c")
-                {
-                    KernelPath::Avx512
-                } else {
-                    KernelPath::Avx2
-                }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                KernelPath::Baseline
-            }
-        })
-    }
-
-    /// The path the kernel runs on: the forced one while
-    /// [`on_each_kernel_path`] runs, else the detected one.
-    fn selected() -> KernelPath {
-        match FORCED_PATH.load(Ordering::Relaxed) {
-            0 => KernelPath::detected(),
-            forced => KernelPath::ALL[forced - 1],
-        }
-    }
+/// Whether the strip kernel runs as the AVX2 clone.
+fn avx2_selected() -> bool {
+    avx2_detected() && !FORCE_BASELINE.load(Ordering::Relaxed)
 }
-
-/// Set by [`on_each_kernel_path`] while it runs: one plus the forced
-/// path's index in [`KernelPath::ALL`] (its discriminant), or 0 for the
-/// detected path.
-static FORCED_PATH: AtomicUsize = AtomicUsize::new(0);
 
 /// The instruction set the strip closed form runs on in this process:
-/// `"avx512"` when the CPU has AVX-512 (F, VL, BW and DQ), else `"avx2"`
-/// when it has AVX2, else `"baseline"` (the build's target features).
-/// Every path gives bit-identical results.
+/// `"avx2"` when the CPU has AVX2, else `"baseline"` (the build's target
+/// features). Both give bit-identical results.
 pub fn kernel_path() -> &'static str {
-    KernelPath::selected().name()
+    if avx2_selected() {
+        "avx2"
+    } else {
+        "baseline"
+    }
 }
 
-/// Runs `run` once per compilation of the strip closed form this CPU
-/// runs: the baseline first, then each detected clone, with the kernel
-/// forced onto it, passing [`kernel_path`] each time. The last pass runs
-/// the detected path. A hook for the tests and benchmarks that pin or time
-/// every path; it never changes a result.
+/// Runs `run` twice: with the strip closed form forced onto its baseline
+/// compilation, then on the detected path, passing [`kernel_path`] each
+/// time. A hook for the tests and benchmarks that pin or time both paths;
+/// it never changes a result.
 ///
 /// The choice is process-wide, so calls are serialized by a lock, and an
 /// encode on another thread (a runtime shard worker, say) runs on the
-/// forced path too. An encode outside any call may run on any path while
-/// a call is in progress.
+/// forced path too. An encode outside any call may run on either path
+/// while a call is in its baseline pass.
 #[doc(hidden)]
 pub fn on_each_kernel_path(mut run: impl FnMut(&'static str)) {
     static LOCK: Mutex<()> = Mutex::new(());
     // The lock guards no data, so a panic in another call leaves nothing
     // to repair.
     let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let detected = KernelPath::detected();
-    for path in KernelPath::ALL.into_iter().filter(|&path| path <= detected) {
-        FORCED_PATH.store(path as usize + 1, Ordering::Relaxed);
+    for force in [true, false] {
+        FORCE_BASELINE.store(force, Ordering::Relaxed);
         run(kernel_path());
     }
-    FORCED_PATH.store(0, Ordering::Relaxed);
 }
 
 /// Runs [`closed_form_kernel`] compiled for the selected instruction set.
 #[allow(unsafe_code)]
 fn run_kernel(strip: &mut Strip, form: &ClosedForm<'_>, axes: &[RgbAxis]) {
-    match KernelPath::selected() {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx512 => {
-            /// The AVX-512 clone of the kernel.
-            ///
-            /// # Safety
-            ///
-            /// The CPU must support AVX-512 F, VL, BW and DQ, and the
-            /// features `avx512f` implies.
-            #[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq")]
-            unsafe fn avx512(strip: &mut Strip, form: &ClosedForm<'_>, axes: &[RgbAxis]) {
-                closed_form_kernel(strip, form, axes);
-            }
-            // SAFETY: `KernelPath::Avx512` is selected only when
-            // `KernelPath::detected` found every one of these features,
-            // and those `avx512f` implies, on this CPU
-            // (`on_each_kernel_path` forces no path past the detected one).
-            unsafe { avx512(strip, form, axes) }
+    #[cfg(target_arch = "x86_64")]
+    if avx2_selected() {
+        /// The AVX2 clone of the kernel.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX2.
+        #[target_feature(enable = "avx2")]
+        unsafe fn avx2(strip: &mut Strip, form: &ClosedForm<'_>, axes: &[RgbAxis]) {
+            closed_form_kernel(strip, form, axes);
         }
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2 => {
-            /// The AVX2 clone of the kernel.
-            ///
-            /// # Safety
-            ///
-            /// The CPU must support AVX2.
-            #[target_feature(enable = "avx2")]
-            unsafe fn avx2(strip: &mut Strip, form: &ClosedForm<'_>, axes: &[RgbAxis]) {
-                closed_form_kernel(strip, form, axes);
-            }
-            // SAFETY: `KernelPath::Avx2` is selected only when
-            // `KernelPath::detected` found AVX2 on this CPU (as above).
-            unsafe { avx2(strip, form, axes) }
-        }
-        _ => closed_form_kernel(strip, form, axes),
+        // SAFETY: `avx2_selected` holds only when
+        // `std::is_x86_feature_detected!("avx2")` found AVX2 on this CPU.
+        unsafe { avx2(strip, form, axes) };
+        return;
     }
+    closed_form_kernel(strip, form, axes);
 }
 
 /// The closed-form phases over a gathered strip whose scale lane is
@@ -890,8 +828,8 @@ fn select(pick: &[u64], from: &Channels, slots: usize, into: &mut Channels) {
     }
 }
 
-/// Tiles per register block of [`sanitized_min_max`] and [`planes`]: one
-/// 512-bit register of `f64`s, or two 256-bit ones.
+/// Tiles per register block of [`sanitized_min_max`] and [`planes`]: two
+/// 256-bit registers of `f64`s.
 const BLOCK: usize = 8;
 
 /// The [`BLOCK`] lanes of `values` from `start` on.

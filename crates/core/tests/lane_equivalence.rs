@@ -16,20 +16,20 @@
 //! A second pin covers the frame path: `adjust_frame_with_map_into`
 //! adjusts each tile row in `[slot][tile]` strip lanes and must equal the
 //! per-tile AoS composition bit for bit, on every compilation of the strip
-//! kernel this CPU runs (baseline, AVX2, AVX-512), over a scene frame and
-//! a width sweep across the kernel's register blocks. For a model with a fixed shape the
-//! reference is a scalar closed form in the kernel's operation order, with
-//! the kernel's per-tile fallback; every other tile, and every tile of a
-//! model without one, goes through `tile_pixels_into`, one
+//! kernel this CPU runs (baseline, AVX2), over a scene frame and a width
+//! sweep across the kernel's register blocks. For a model with a fixed
+//! shape the reference is a scalar closed form in the kernel's operation
+//! order, with the kernel's per-tile fallback; every other tile, and every
+//! tile of a model without one, goes through `tile_pixels_into`, one
 //! `model.ellipsoid` per pixel and `adjust_tile_with`. Any drift in gather
 //! order, in the strip layout, in the ellipsoid lanes or in the closed
-//! form shows up there. On clean frames
-//! the pin also checks the paper's promise in linear space: every adjusted
-//! pixel stays inside its original pixel's ellipsoid. The pin counts every
-//! NaN as one value: Rust leaves the sign and payload of an arithmetic NaN
-//! unspecified, the optimized lane build can pick a different one than the
-//! per-pixel call, and nothing downstream reads them (the sRGB quantizer
-//! maps every NaN to code 0).
+//! form shows up there. On clean frames the pin also checks the paper's
+//! promise in linear space: every adjusted pixel stays inside its original
+//! pixel's ellipsoid. The pin counts every NaN as one value: Rust leaves
+//! the sign and payload of an arithmetic NaN unspecified, the optimized
+//! lane build can pick a different one than the per-pixel call, and
+//! nothing downstream reads them (the sRGB quantizer maps every NaN to
+//! code 0).
 
 use proptest::prelude::*;
 use pvc_bdc::tile_codec::bits_for_range;

@@ -6,8 +6,8 @@
 //! seeds. Frames are kept small (32×32) so this stays fast enough for
 //! every CI run — the large-scale numbers come from the `fleet` bench
 //! binary instead. The whole check runs on every compilation of the strip
-//! kernel this CPU runs (baseline, AVX2, AVX-512), whose streams must also
-//! be equal.
+//! kernel this CPU runs (baseline, AVX2), whose streams must also be
+//! equal.
 
 use pvc_frame::Dimensions;
 use pvc_stream::{GazeModel, ServiceConfig, ServiceReport, SessionConfig, StreamRuntime};
